@@ -1,14 +1,21 @@
 //! Benchmarks of the computational kernels underneath the reproduction:
 //! the Eq. (2) optimizer, the PHY error chain, one MAC TXOP, and a
 //! second of simulated saturated traffic.
+//!
+//! Then the gate: the pruned Eq. (2) grid scan and the full scan solve
+//! one seeded corpus back to back, and the pruned/full time ratio must
+//! stay at or below [`MAX_PRUNED_OVER_FULL`]. Both sides run on the same
+//! machine in the same process, so the ratio holds on any runner.
+//! Results land in `BENCH_kernels.json`.
 
 use std::hint::black_box;
 
 use skyferry_bench::microbench::Harness;
 use skyferry_control::mission::{run_mission, MissionConfig};
 use skyferry_core::mixed::{optimize_mixed, MixedConfig};
-use skyferry_core::optimizer::optimize;
-use skyferry_core::scenario::Scenario;
+use skyferry_core::optimizer::{optimize, optimize_view, optimize_view_unpruned};
+use skyferry_core::request::{DecisionParams, Platform};
+use skyferry_core::scenario::{Scenario, BYTES_PER_MB};
 use skyferry_core::sweep::{gratification_sweep, paper_grid};
 use skyferry_geo::vector::Vec3;
 use skyferry_mac::link::{LinkConfig, LinkState};
@@ -22,7 +29,14 @@ use skyferry_phy::fading::FadingProcess;
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
 use skyferry_sim::prelude::*;
+use skyferry_stats::json::Json;
 use skyferry_units::{Db, MetersPerSec};
+
+/// Solves per corpus pass of the pruned-vs-full comparison.
+const CORPUS: usize = 256;
+/// Gate on pruned/full solve time: measured 0.20–0.24 on a 2-core x86-64
+/// host; a ratio above 0.35 means the pruning has lost much of its gain.
+const MAX_PRUNED_OVER_FULL: f64 = 0.35;
 
 fn bench_optimizer(h: &mut Harness) {
     let air = Scenario::airplane_baseline();
@@ -43,6 +57,54 @@ fn bench_optimizer(h: &mut Harness) {
     let s = Scenario::quadrocopter_baseline().with_mdata_mb(15.0);
     let cfg = MixedConfig::for_speed(MetersPerSec::new(4.5));
     h.bench("optimizer/mixed-2d", || black_box(optimize_mixed(&s, &cfg)));
+}
+
+/// Decide requests in the load generator's ranges, seeded: the mix
+/// `skyferryd --exact` solves.
+fn solve_corpus() -> Vec<DecisionParams> {
+    let mut rng = DetRng::seed(0x0E02);
+    (0..CORPUS)
+        .map(|_| {
+            let (platform, d0_m) = if rng.chance(0.5) {
+                (Platform::Airplane, rng.uniform_range(50.0, 300.0))
+            } else {
+                (Platform::Quadrocopter, rng.uniform_range(30.0, 100.0))
+            };
+            DecisionParams {
+                platform,
+                d0_m,
+                mdata_bytes: rng.uniform_range(1.0, 60.0) * BYTES_PER_MB,
+                rho_per_m: rng.uniform_range(5e-5, 5e-4),
+                v_mps: rng.uniform_range(2.0, 12.0),
+            }
+        })
+        .collect()
+}
+
+/// Time the pruned and the full scan over one corpus; returns their
+/// per-solve medians in ns, or `None` when the filter skipped them.
+fn bench_pruned_vs_full(h: &mut Harness) -> Option<(f64, f64)> {
+    let corpus = solve_corpus();
+    h.bench("optimizer/pruned-scan-corpus", || {
+        for p in &corpus {
+            black_box(optimize_view(black_box(p.view())));
+        }
+    });
+    h.bench("optimizer/full-scan-corpus", || {
+        for p in &corpus {
+            black_box(optimize_view_unpruned(black_box(p.view())));
+        }
+    });
+    let per_solve = |name: &str| {
+        h.results()
+            .iter()
+            .find(|m| m.name == name)
+            .map(|m| m.median.as_nanos() as f64 / CORPUS as f64)
+    };
+    Some((
+        per_solve("optimizer/pruned-scan-corpus")?,
+        per_solve("optimizer/full-scan-corpus")?,
+    ))
 }
 
 fn bench_phy(h: &mut Harness) {
@@ -117,9 +179,49 @@ fn bench_mission(h: &mut Harness) {
 fn main() {
     let mut h = Harness::from_env();
     bench_optimizer(&mut h);
+    let scans = bench_pruned_vs_full(&mut h);
     bench_phy(&mut h);
     bench_mac(&mut h);
     bench_campaign_second(&mut h);
     bench_mission(&mut h);
     h.finish();
+
+    let Some((pruned_ns, full_ns)) = scans else {
+        return;
+    };
+    let gate = MAX_PRUNED_OVER_FULL;
+    let ratio = pruned_ns / full_ns;
+    println!(
+        "\npruned scan {:.2} µs/solve, full scan {:.2} µs/solve: ratio {ratio:.3} (gate {gate:.2})",
+        pruned_ns / 1e3,
+        full_ns / 1e3
+    );
+    let json = Json::obj([
+        ("bench", Json::str("kernels")),
+        ("corpus_solves", Json::Int(CORPUS as i64)),
+        (
+            "optimizer_solve_ns",
+            Json::obj([
+                ("pruned", Json::Fixed(pruned_ns, 1)),
+                ("full", Json::Fixed(full_ns, 1)),
+            ]),
+        ),
+        (
+            "gate",
+            Json::obj([
+                ("pruned_over_full", Json::Fixed(ratio, 3)),
+                ("max_ratio", Json::Fixed(gate, 3)),
+            ]),
+        ),
+    ]);
+    // Cargo runs benches with cwd = the package dir; anchor the report
+    // at the workspace root next to the other BENCH_*.json files.
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+    std::fs::write(out, json.render_pretty()).expect("write BENCH_kernels.json");
+    println!("wrote BENCH_kernels.json");
+
+    if ratio > gate {
+        eprintln!("GATE FAILED: pruned/full solve time {ratio:.3} > {gate:.2}");
+        std::process::exit(1);
+    }
 }

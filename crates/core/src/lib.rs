@@ -34,7 +34,8 @@
 //!   quadrocopter baseline scenarios;
 //! * [`delay`] — shipping/transmission/total delay arithmetic;
 //! * [`utility`] — Eq. (1);
-//! * [`optimizer`] — Eq. (2): grid search with golden-section refinement;
+//! * [`optimizer`] — Eq. (2): grid search with golden-section refinement,
+//!   pruned by a monotone block bound where the models allow it;
 //! * [`strategy`] — the strategy space of Figures 1–2 (transmit now /
 //!   move-then-transmit / move-and-transmit) with analytic delivery
 //!   curves and crossover analysis;
@@ -57,7 +58,7 @@ pub mod delay;
 pub mod failure;
 /// Move-and-transmit strategy mixing (Section 3.2 extension).
 pub mod mixed;
-/// The Eq. (2) solver: grid scan + golden-section refinement.
+/// The Eq. (2) solver: (pruned) grid scan + golden-section refinement.
 pub mod optimizer;
 /// Compiled decision tables: versioned, checksummed policy artifacts.
 pub mod policy;

@@ -8,19 +8,65 @@
 //! with golden-section search — robust to multimodality at grid
 //! resolution, with ~1e-6 m final precision.
 //!
+//! ## Pruned grid scan
+//!
+//! Most of the 2048 grid points cannot win. When the scenario carries a
+//! *monotonicity certificate* ([`has_monotone_certificate`]) —
+//! a `LogFit` throughput with `a ≤ 0` (fleet-scaled fits and the
+//! [`MIN_RATE_BPS`](crate::throughput::MIN_RATE_BPS) floor included)
+//! and either exponential failure with `ρ ≥ 0` or a Weibull law — the
+//! three parts of `U = surv / (ship + tx)` are monotone in `d`: survival
+//! rises, ship time falls, tx time rises. On a block of grid points
+//! `[dᵢ, dⱼ]` every point therefore satisfies
+//!
+//! ```text
+//! U(d) ≤ surv(dⱼ) / (ship(dⱼ) + tx(dᵢ))
+//! ```
+//!
+//! The pruned scan evaluates the parts at every 32nd grid point plus the
+//! last one, takes the best sampled `U` as `best`, and skips each
+//! 33-point block whose bound is below `best·(1 − 1e-9)`. The relative
+//! slack absorbs float rounding and libm's (`exp`, `log2`, `powf`)
+//! ulp-level non-monotonicity, both ~1e-16 relative. The surviving
+//! blocks are then scanned in index order from `−∞` with the same
+//! strict `u > best_u` rule as the full scan.
+//!
+//! **Bit identity.** Every point attaining the grid maximum lies in a
+//! surviving block (its `U` is at least `best`, hence above every
+//! skipped block's bound), and the surviving points are visited in
+//! ascending index order, so the scan returns the same first-maximum
+//! grid index as the full scan. The golden-section refinement and the
+//! final candidate comparison are one shared routine, so from that index
+//! on both paths execute the same float operations and return the same
+//! bits. Scenarios without the certificate (`Empirical` throughput) take
+//! the full scan, as does [`search_max`] itself — `skyferry-traj`'s
+//! objective can return `NEG_INFINITY` and has no such structure.
+//!
 //! This module contains no `unsafe` code (audited for the determinism
 //! pass; the crate is `#![forbid(unsafe_code)]`).
+
+use std::cmp::Ordering;
 
 use skyferry_units::Meters;
 
 use crate::delay::CommunicationDelay;
+use crate::failure::{FailureModel, FailureSpec};
 use crate::scenario::{Scenario, ScenarioView};
+use crate::throughput::ThroughputSpec;
 use crate::utility::{utility_breakdown_view, utility_view};
 
 /// Number of initial grid points.
 const GRID_POINTS: usize = 2048;
 /// Golden-section iterations (interval shrinks by 0.618 each).
 const GOLDEN_ITERS: usize = 80;
+/// Grid spacing of the pruned scan's sample points, i.e. the width of
+/// one bounded block.
+const BLOCK: usize = 32;
+/// Number of bounded blocks; the last one ends at grid point
+/// `GRID_POINTS − 1` and is one point shorter.
+const BLOCKS: usize = GRID_POINTS / BLOCK;
+/// Relative slack of the block-skip test (see the module docs).
+const PRUNE_SLACK: f64 = 1e-9;
 
 /// The solved optimum of Eq. (2).
 ///
@@ -69,6 +115,9 @@ pub fn optimize(scenario: &Scenario) -> OptimalTransfer {
 /// never return NaN. A degenerate interval (`hi − lo < 1e-9`) returns
 /// `hi` without evaluating `f`.
 ///
+/// This is always the full, unpruned scan: it assumes nothing about
+/// `f`. [`optimize_view`] prunes it when the scenario allows.
+///
 /// Bit-exactness contract: policy tables, golden CSVs and the traj
 /// planner's degenerate-equivalence guarantee all observe the exact
 /// sequence of float operations here — [`optimize_view`] and
@@ -76,23 +125,44 @@ pub fn optimize(scenario: &Scenario) -> OptimalTransfer {
 /// planner's straight-corridor commit are the *same* computation, not
 /// two computations that happen to agree.
 pub fn search_max(lo: Meters, hi: Meters, f: impl Fn(f64) -> f64) -> Meters {
-    let lo = lo.get();
-    let hi = hi.get();
-    let at = |i: usize| lo + (hi - lo) * i as f64 / (GRID_POINTS - 1) as f64;
+    let (lo, hi) = (lo.get(), hi.get());
     if hi - lo < 1e-9 {
         // Degenerate interval: the only choice is the upper endpoint.
         return Meters::new(hi);
     }
+    let best_i = grid_argmax(lo, hi, 0..GRID_POINTS, &f);
+    refine(lo, hi, best_i, &f)
+}
+
+/// Grid point `i` of the `GRID_POINTS` evenly spaced points on `[lo, hi]`.
+fn grid_at(lo: f64, hi: f64, i: usize) -> f64 {
+    lo + (hi - lo) * i as f64 / (GRID_POINTS - 1) as f64
+}
+
+/// The first of `indices` (ascending) whose grid point maximises `f`:
+/// a strict `>` keeps the earliest index on ties.
+fn grid_argmax(
+    lo: f64,
+    hi: f64,
+    indices: impl Iterator<Item = usize>,
+    f: &impl Fn(f64) -> f64,
+) -> usize {
     let (mut best_i, mut best_u) = (0usize, f64::NEG_INFINITY);
-    for i in 0..GRID_POINTS {
-        let u = f(at(i));
+    for i in indices {
+        let u = f(grid_at(lo, hi, i));
         if u > best_u {
             best_u = u;
             best_i = i;
         }
     }
+    best_i
+}
 
-    // Refine inside the bracket around the best grid point.
+/// Golden-section refinement inside the bracket around grid index
+/// `best_i`, then the final candidate comparison. Shared by the full and
+/// the pruned scan, so equal `best_i` means equal bits.
+fn refine(lo: f64, hi: f64, best_i: usize, f: &impl Fn(f64) -> f64) -> Meters {
+    let at = |i: usize| grid_at(lo, hi, i);
     let mut a = at(best_i.saturating_sub(1));
     let mut b = at((best_i + 1).min(GRID_POINTS - 1));
     let inv_phi = (5f64.sqrt() - 1.0) / 2.0;
@@ -127,18 +197,93 @@ pub fn search_max(lo: Meters, hi: Meters, f: impl Fn(f64) -> f64) -> Meters {
     Meters::new(best)
 }
 
+/// `true` when the three parts of `U = surv / (ship + tx)` are monotone
+/// in `d` for `scenario` — survival non-decreasing, ship time
+/// non-increasing, tx time non-decreasing — so [`optimize_view`] may
+/// take the pruned grid scan (see the module docs). Holds for a
+/// `LogFit` throughput with `a ≤ 0` together with exponential failure
+/// with `ρ ≥ 0` or a Weibull law with positive scale and shape;
+/// `Empirical` tables carry no certificate.
+pub fn has_monotone_certificate(scenario: ScenarioView<'_>) -> bool {
+    let rate_falls = matches!(scenario.throughput, ThroughputSpec::LogFit(m) if m.a_mbps <= 0.0);
+    let survival_rises = match scenario.failure {
+        FailureSpec::Exponential(e) => e.rho_per_m >= 0.0,
+        FailureSpec::Weibull(w) => w.scale_m > 0.0 && w.shape > 0.0,
+    };
+    rate_falls && survival_rises
+}
+
+/// The parts of `U` at one grid point: `(survival, ship_s, tx_s)`.
+fn parts(scenario: ScenarioView<'_>, d: f64) -> (f64, f64, f64) {
+    let delay = CommunicationDelay::at_view(scenario, Meters::new(d));
+    let survival = scenario.failure.survival(scenario.d0_m, d);
+    (survival, delay.ship_s(), delay.tx_s())
+}
+
+/// [`search_max`] of `f = U` over `[d_min, d0]`, scanning only the grid
+/// blocks whose monotone bound can still beat the sampled best. Returns
+/// the same bits as the full scan for any scenario with
+/// [`has_monotone_certificate`].
+fn search_max_pruned(scenario: ScenarioView<'_>, f: impl Fn(f64) -> f64) -> Meters {
+    let (lo, hi) = (scenario.d_min_m, scenario.d0_m);
+    if hi - lo < 1e-9 {
+        return Meters::new(hi);
+    }
+    // Block k spans grid points knot(k)..=knot(k + 1).
+    let knot = |k: usize| (k * BLOCK).min(GRID_POINTS - 1);
+    let knots: [(f64, f64, f64); BLOCKS + 1] =
+        std::array::from_fn(|k| parts(scenario, grid_at(lo, hi, knot(k))));
+    let best = knots
+        .iter()
+        .map(|&(surv, ship, tx)| surv / (ship + tx))
+        .fold(f64::NEG_INFINITY, f64::max);
+    let floor = best * (1.0 - PRUNE_SLACK);
+    let live: [bool; BLOCKS] = std::array::from_fn(|k| {
+        let (surv_hi, ship_hi, _) = knots[k + 1];
+        let tx_lo = knots[k].2;
+        // Skip only a block that is certainly below: NaN keeps it.
+        (surv_hi / (ship_hi + tx_lo)).partial_cmp(&floor) != Some(Ordering::Less)
+    });
+    // A knot shared by two live blocks is visited once.
+    let indices = (0..BLOCKS).filter(|&k| live[k]).flat_map(|k| {
+        let start = if k > 0 && live[k - 1] {
+            knot(k) + 1
+        } else {
+            knot(k)
+        };
+        start..=knot(k + 1)
+    });
+    let best_i = grid_argmax(lo, hi, indices, &f);
+    refine(lo, hi, best_i, &f)
+}
+
 /// [`optimize`] on a borrowed [`ScenarioView`] — what parameter sweeps
-/// call per grid cell without cloning the base scenario.
+/// call per grid cell without cloning the base scenario. Takes the
+/// pruned grid scan when [`has_monotone_certificate`] holds, with
+/// bit-identical results to [`optimize_view_unpruned`].
 pub fn optimize_view(scenario: ScenarioView<'_>) -> OptimalTransfer {
+    solve_view(scenario, has_monotone_certificate(scenario))
+}
+
+/// [`optimize_view`] on the full, unpruned grid scan — the reference
+/// path the pruned scan is tested and benchmarked against.
+pub fn optimize_view_unpruned(scenario: ScenarioView<'_>) -> OptimalTransfer {
+    solve_view(scenario, false)
+}
+
+fn solve_view(scenario: ScenarioView<'_>, pruned: bool) -> OptimalTransfer {
     let _span = skyferry_trace::span!(
         "optimize",
         d0_m = scenario.d0_m,
         mdata_bytes = scenario.mdata_bytes
     );
     scenario.validate();
-    let best = search_max(scenario.d_min(), scenario.d0(), |d| {
-        utility_view(scenario, Meters::new(d))
-    })
+    let f = |d| utility_view(scenario, Meters::new(d));
+    let best = if pruned {
+        search_max_pruned(scenario, f)
+    } else {
+        search_max(scenario.d_min(), scenario.d0(), f)
+    }
     .get();
 
     let bd = utility_breakdown_view(scenario, Meters::new(best));
@@ -324,6 +469,32 @@ mod tests {
             crate::utility::utility_view(v, Meters::new(d))
         });
         assert_eq!(direct.get().to_bits(), optimize(&s).d_opt.to_bits());
+    }
+
+    #[test]
+    fn pruned_scan_matches_full_scan_in_a_fraction_of_the_evaluations() {
+        for s in [
+            Scenario::airplane_baseline(),
+            Scenario::quadrocopter_baseline().with_mdata_mb(10.0),
+        ] {
+            let v = s.view();
+            assert!(has_monotone_certificate(v));
+            let evals = std::cell::Cell::new(0usize);
+            let f = |d| {
+                evals.set(evals.get() + 1);
+                crate::utility::utility_view(v, Meters::new(d))
+            };
+            let pruned = search_max_pruned(v, f);
+            let pruned_evals = evals.replace(0);
+            let full = search_max(v.d_min(), v.d0(), f);
+            assert_eq!(pruned.get().to_bits(), full.get().to_bits(), "{}", s.name);
+            assert!(
+                pruned_evals * 4 < evals.get(),
+                "{}: {pruned_evals} vs {} evaluations",
+                s.name,
+                evals.get()
+            );
+        }
     }
 
     #[test]

@@ -34,14 +34,14 @@
 //! * [`shard`] — the event loops: each shard owns a `poll(2)` reactor
 //!   ([`skyferry_reactor`]), its connections, a private engine+cache,
 //!   and its metrics slice; decide requests route to the shard owning
-//!   their quantized key via lock-free mailboxes, and pipelined
-//!   frames are answered as engine batches;
+//!   their quantized key via per-shard FIFO mailboxes (a
+//!   `Mutex<VecDeque>` plus a poll waker; the mutex guards the message
+//!   queue, never the decision path), and pipelined frames are answered
+//!   as engine batches; backlog is capped by a per-shard atomic
+//!   reservation taken at the sending side;
 //! * [`server`] — the TCP front end: one accept thread dealing
 //!   connections to the shard loops round-robin, graceful
 //!   ack-then-drain shutdown on a control message;
-//! * [`bounded`] — a bounded MPSC job queue with backpressure,
-//!   retained as a standalone utility (the sharded server's backlog
-//!   control is the per-shard atomic reservation in [`shard`]);
 //! * [`loadgen`] — closed-loop, open-loop (fixed-rate) and
 //!   many-connection open-loop (reactor-multiplexed `--conns`)
 //!   workload driver with a seeded `DetRng` request mix,
@@ -55,7 +55,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bounded;
 pub mod cache;
 pub mod engine;
 pub mod framing;
