@@ -17,11 +17,37 @@
 //!   counting those subframes as undelivered).
 //! * Failed subframes return to the head of the queue; the TXOP-level
 //!   failure streak drives binary exponential backoff.
+//!
+//! Cost notes — every one of these leaves each output bit as a fresh
+//! evaluation would produce it:
+//!
+//! * **One PER per coherence block.** The fading state is constant for a
+//!   coherence block (≈ 1.2 ms at 20 m/s, ≈ 48 ms in hover), so most
+//!   subframes, and in hover most TXOPs, repeat the error chain's inputs.
+//!   A one-entry memo keyed on `(ChannelState, Mcs, mean-SNR bits, MPDU
+//!   length)` returns the PER computed for the first of them. The MCS is
+//!   in the key because Minstrel's lookaround changes the rate mid-block;
+//!   the length because the tail runt is shorter. The block ACK has its
+//!   own memo. `rng.chance(per)` is still drawn once per subframe, so the
+//!   RNG stream is the same as without the memo.
+//! * **Hoisted invariants.** The block-ACK airtime and the padded size of
+//!   a full subframe are fixed per link and computed in
+//!   [`LinkState::new`]; the fading process recomputes its speed-derived
+//!   parameters only when the speed changes.
+//! * **No heap allocation per TXOP.** The PSDU length is
+//!   `full × padded(payload) + padded(tail)`, and the per-subframe fates
+//!   are a `u64` bitmap in the layout of
+//!   [`BlockAck::bitmap`](crate::frame::BlockAck::bitmap). That caps
+//!   [`LinkConfig::max_ampdu_subframes`] at 64, the compressed block-ACK
+//!   window.
+//!
+//! `tests/txop_reference.rs` at the repository root checks all of this
+//! against a transcription of the plain per-subframe engine.
 
 use skyferry_phy::airtime::ppdu_duration;
 use skyferry_phy::channel::db_to_linear;
 use skyferry_phy::error::{coded_per, effective_snr_linear};
-use skyferry_phy::fading::FadingProcess;
+use skyferry_phy::fading::{ChannelState, FadingProcess};
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
 use skyferry_sim::rng::DetRng;
@@ -40,7 +66,8 @@ pub struct LinkConfig {
     pub preset: ChannelPreset,
     /// MSDU payload bytes per MPDU (iperf UDP default: 1470).
     pub mpdu_payload_bytes: usize,
-    /// Maximum subframes per A-MPDU (the paper's driver default: 14).
+    /// Maximum subframes per A-MPDU (the paper's driver default: 14; at
+    /// most 64, the compressed block-ACK window).
     pub max_ampdu_subframes: usize,
     /// Transmit single-stream MCS with STBC (the paper's MCS 1–3 do).
     pub use_stbc: bool,
@@ -87,9 +114,49 @@ pub struct TxopOutcome {
     /// sees the duplicates; selectively-retried frames after a partial
     /// BA are approximated with fresh numbers.
     pub start_seq: u16,
-    /// Per-subframe reception flags, in sequence order — what a receiver
-    /// model (e.g. [`crate::reorder::ReorderBuffer`]) should be fed.
-    pub received: Vec<bool>,
+    /// Per-subframe reception bitmap: bit `i` set = subframe
+    /// `start_seq + i` arrived intact, the layout of
+    /// [`BlockAck::bitmap`](crate::frame::BlockAck::bitmap). What a
+    /// receiver model (e.g. [`crate::reorder::ReorderBuffer`]) should be
+    /// fed; bits at and above `attempted` are clear.
+    pub received: u64,
+}
+
+/// The inputs of one error-chain evaluation that vary during a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PerKey {
+    /// Compared with `==`: states that compare equal differ at most in
+    /// the sign of a zero gain, which yields the same PER.
+    state: ChannelState,
+    mcs: Mcs,
+    mean_snr_bits: u64,
+    mpdu_len: usize,
+}
+
+/// A one-entry PER memo (see the module docs).
+#[derive(Debug)]
+struct PerMemo {
+    key: Option<PerKey>,
+    per: f64,
+}
+
+impl PerMemo {
+    const EMPTY: PerMemo = PerMemo {
+        key: None,
+        per: 0.0,
+    };
+
+    /// The PER for `key`, evaluating the error chain only when the key
+    /// differs from the previous call's.
+    fn per(&mut self, key: PerKey, use_stbc: bool, sdm_sir: Db) -> f64 {
+        if self.key != Some(key) {
+            let mean_snr = f64::from_bits(key.mean_snr_bits);
+            let eff = effective_snr_linear(key.mcs, use_stbc, mean_snr, &key.state, sdm_sir);
+            self.per = coded_per(key.mcs, eff, key.mpdu_len);
+            self.key = Some(key);
+        }
+        self.per
+    }
 }
 
 /// Mutable per-link state: fading process, rate controller, retry streak.
@@ -98,6 +165,13 @@ pub struct LinkState {
     fading: FadingProcess,
     controller: Box<dyn RateController>,
     rng: DetRng,
+    /// Airtime of the block ACK at the base rate.
+    ba_air: SimDuration,
+    /// On-air bytes of one full-size subframe (delimiter and padding
+    /// included).
+    full_subframe_bytes: usize,
+    subframe_per: PerMemo,
+    block_ack_per: PerMemo,
     /// Next MPDU sequence number (12-bit, wrapping).
     next_seq: u16,
     /// Consecutive fully-failed TXOPs (drives backoff growth).
@@ -121,14 +195,26 @@ impl LinkState {
     /// Build a link with the given controller. `seed_rng` drives backoff,
     /// per-subframe error draws and controller sampling; pass independent
     /// RNGs (via `SeedStream`) for fading vs link decisions.
+    ///
+    /// # Panics
+    /// If `config.max_ampdu_subframes` is 0 or above 64.
     pub fn new(
         config: LinkConfig,
         controller: Box<dyn RateController>,
         fading_rng: DetRng,
         link_rng: DetRng,
     ) -> Self {
+        assert!(
+            (1..=u64::BITS as usize).contains(&config.max_ampdu_subframes),
+            "max_ampdu_subframes must be in 1..=64 (the compressed block-ACK window)"
+        );
+        let preset = &config.preset;
         LinkState {
-            fading: FadingProcess::new(config.preset.fading, fading_rng),
+            fading: FadingProcess::new(preset.fading, fading_rng),
+            ba_air: ppdu_duration(Mcs::new(0), preset.width, preset.gi, BLOCK_ACK_BYTES),
+            full_subframe_bytes: ampdu_length(&[config.mpdu_payload_bytes + DATA_OVERHEAD_BYTES]),
+            subframe_per: PerMemo::EMPTY,
+            block_ack_per: PerMemo::EMPTY,
             config,
             controller,
             rng: link_rng,
@@ -185,7 +271,7 @@ impl LinkState {
                 idle: true,
                 block_ack_lost: false,
                 start_seq: self.next_seq,
-                received: Vec::new(),
+                received: 0,
             };
         }
 
@@ -193,25 +279,22 @@ impl LinkState {
 
         // Assemble the A-MPDU: full-size subframes plus possibly one
         // runt carrying the tail of the queue.
-        let full = (available / payload).min(self.config.max_ampdu_subframes);
-        let mut subframe_payloads: Vec<usize> = vec![payload; full];
-        if full < self.config.max_ampdu_subframes {
-            let tail = available - full * payload;
-            if tail > 0 {
-                subframe_payloads.push(tail);
-            }
-        }
-        let n = subframe_payloads.len() as u32;
+        let max = self.config.max_ampdu_subframes;
+        let full = (available / payload).min(max);
+        let tail = if full < max {
+            available - full * payload
+        } else {
+            0
+        };
+        let n = (full + usize::from(tail > 0)) as u32;
         debug_assert!(n > 0);
-        let taken: usize = subframe_payloads.iter().sum();
+        let taken = full * payload + tail;
         let got = queue.take(now, taken);
         debug_assert_eq!(got, taken);
-
-        let mpdu_lens: Vec<usize> = subframe_payloads
-            .iter()
-            .map(|p| p + DATA_OVERHEAD_BYTES)
-            .collect();
-        let psdu = ampdu_length(&mpdu_lens);
+        let mut psdu = full * self.full_subframe_bytes;
+        if tail > 0 {
+            psdu += ampdu_length(&[tail + DATA_OVERHEAD_BYTES]);
+        }
 
         // Timing of the exchange.
         let backoff = self
@@ -219,13 +302,8 @@ impl LinkState {
             .dcf
             .sample_backoff(self.retry_streak, &mut self.rng);
         let data_air = ppdu_duration(mcs, self.config.preset.width, self.config.preset.gi, psdu);
-        let ba_air = ppdu_duration(
-            Mcs::new(0),
-            self.config.preset.width,
-            self.config.preset.gi,
-            BLOCK_ACK_BYTES,
-        );
-        let airtime = self.config.dcf.difs() + backoff + data_air + self.config.dcf.sifs + ba_air;
+        let airtime =
+            self.config.dcf.difs() + backoff + data_air + self.config.dcf.sifs + self.ba_air;
 
         // Per-subframe fate: resample the channel along the burst. The
         // mean SNR pays the attitude/motion penalty at the current speed.
@@ -237,6 +315,9 @@ impl LinkState {
                 .get()
                 - self.fading.config().motion_loss_db().get(),
         );
+        let mean_snr_bits = mean_snr.to_bits();
+        let use_stbc = self.config.use_stbc;
+        let sdm_sir = Db::new(self.config.preset.fading.sdm_sir_db);
         let tx_start = now + self.config.dcf.difs() + backoff;
         let per_subframe_air = SimDuration::from_secs_f64(data_air.as_secs_f64() / n as f64);
         let start_seq = self.next_seq;
@@ -244,40 +325,36 @@ impl LinkState {
         let mut delivered: u32 = 0;
         let mut delivered_bytes: usize = 0;
         let mut failed_bytes: usize = 0;
-        let mut outcomes = Vec::with_capacity(n as usize);
-        for (i, &pl) in subframe_payloads.iter().enumerate() {
+        let mut received: u64 = 0;
+        for i in 0..n as usize {
+            let pl = if i < full { payload } else { tail };
             let t_i = tx_start + per_subframe_air * i as i64;
-            let state = self.fading.state_at(t_i);
-            let eff = effective_snr_linear(
+            let key = PerKey {
+                state: self.fading.state_at(t_i),
                 mcs,
-                self.config.use_stbc,
-                mean_snr,
-                &state,
-                Db::new(self.config.preset.fading.sdm_sir_db),
-            );
-            let per = coded_per(mcs, eff, pl + DATA_OVERHEAD_BYTES);
-            let ok = !self.rng.chance(per);
-            outcomes.push(ok);
-            if ok {
+                mean_snr_bits,
+                mpdu_len: pl + DATA_OVERHEAD_BYTES,
+            };
+            let per = self.subframe_per.per(key, use_stbc, sdm_sir);
+            if self.rng.chance(per) {
+                failed_bytes += pl;
+            } else {
+                received |= 1 << i;
                 delivered += 1;
                 delivered_bytes += pl;
-            } else {
-                failed_bytes += pl;
             }
         }
 
         // Block ACK at the base rate, STBC, short and robust — but can die
         // in a deep fade, costing the whole window.
         let ba_time = tx_start + data_air + self.config.dcf.sifs;
-        let ba_state = self.fading.state_at(ba_time);
-        let ba_eff = effective_snr_linear(
-            Mcs::new(0),
-            self.config.use_stbc,
-            mean_snr,
-            &ba_state,
-            Db::new(self.config.preset.fading.sdm_sir_db),
-        );
-        let ba_per = coded_per(Mcs::new(0), ba_eff, BLOCK_ACK_BYTES);
+        let ba_key = PerKey {
+            state: self.fading.state_at(ba_time),
+            mcs: Mcs::new(0),
+            mean_snr_bits,
+            mpdu_len: BLOCK_ACK_BYTES,
+        };
+        let ba_per = self.block_ack_per.per(ba_key, use_stbc, sdm_sir);
         let block_ack_lost = self.rng.chance(ba_per);
         if block_ack_lost {
             failed_bytes += delivered_bytes;
@@ -317,7 +394,7 @@ impl LinkState {
             idle: false,
             block_ack_lost,
             start_seq,
-            received: outcomes,
+            received,
         }
     }
 }

@@ -173,6 +173,10 @@ pub struct MinstrelHt {
     /// Every `sample_period`-th TXOP probes a random non-best rate.
     sample_period: u32,
     txop_count: u32,
+    /// [`MinstrelHt::best_index`], cached. The ranking reads only
+    /// `ewma_prob`, which changes only in `refresh_stats`, so this is
+    /// recomputed there and nowhere else.
+    best: usize,
 }
 
 impl MinstrelHt {
@@ -193,7 +197,7 @@ impl MinstrelHt {
             };
             rates.len()
         ];
-        MinstrelHt {
+        let mut c = MinstrelHt {
             rates,
             stats,
             width,
@@ -203,7 +207,10 @@ impl MinstrelHt {
             next_update: SimTime::ZERO + SimDuration::from_millis(100),
             sample_period: 10,
             txop_count: 0,
-        }
+            best: 0,
+        };
+        c.best = c.best_index();
+        c
     }
 
     /// Expected throughput metric of rate `i`.
@@ -242,11 +249,12 @@ impl MinstrelHt {
                 s.delivered = 0;
             }
         }
+        self.best = self.best_index();
     }
 
     /// The rate currently believed best (for introspection/tests).
     pub fn current_best(&self) -> Mcs {
-        self.rates[self.best_index()]
+        self.rates[self.best]
     }
 }
 
@@ -254,7 +262,7 @@ impl RateController for MinstrelHt {
     fn select(&mut self, now: SimTime, rng: &mut DetRng) -> Mcs {
         self.refresh_stats(now);
         self.txop_count += 1;
-        let best = self.best_index();
+        let best = self.best;
         if self.txop_count % self.sample_period == 0 && self.rates.len() > 1 {
             // Lookaround: sample a random non-best rate.
             let mut idx = rng.index(self.rates.len() - 1);

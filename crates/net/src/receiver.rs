@@ -46,13 +46,13 @@ impl ReceiverStats {
         if outcome.idle {
             return;
         }
-        for (i, &ok) in outcome.received.iter().enumerate() {
-            if !ok {
+        for i in 0..outcome.attempted as u16 {
+            if outcome.received >> i & 1 == 0 {
                 self.frames_lost_on_air += 1;
                 continue;
             }
             self.frames_received += 1;
-            let seq = (outcome.start_seq + i as u16) & 0x0fff;
+            let seq = (outcome.start_seq + i) & 0x0fff;
             match self.reorder.receive(seq) {
                 ReceiveOutcome::Duplicate => self.duplicates += 1,
                 ReceiveOutcome::Accepted | ReceiveOutcome::WindowSlide { .. } => {}
@@ -167,7 +167,7 @@ mod tests {
             idle: true,
             block_ack_lost: false,
             start_seq: 0,
-            received: Vec::new(),
+            received: 0,
         };
         stats.observe(&idle);
         assert_eq!(stats.frames_received(), 0);

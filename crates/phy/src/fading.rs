@@ -146,10 +146,40 @@ impl ChannelState {
 #[derive(Debug, Clone)]
 pub struct FadingProcess {
     config: FadingConfig,
+    params: SpeedParams,
     rng: DetRng,
     current: Option<ChannelState>,
     shadow_expiry: Option<SimTime>,
     shadowing: f64,
+}
+
+/// The sampling parameters that depend on the relative speed, derived
+/// from the config by the same expressions a fresh evaluation would use,
+/// so caching them changes no bit.
+#[derive(Debug, Clone, Copy)]
+struct SpeedParams {
+    /// LOS amplitude of one Rician branch.
+    nu: f64,
+    /// Diffuse standard deviation per quadrature of one branch.
+    sigma: f64,
+    /// Shadowing standard deviation, dB.
+    shadowing_db: f64,
+    /// Coherence-block length.
+    coherence: SimDuration,
+}
+
+impl SpeedParams {
+    fn of(config: &FadingConfig) -> Self {
+        let k = config.effective_k_db().ratio();
+        // LOS amplitude nu and diffuse sigma chosen so E[power] = 1:
+        // nu^2 = K/(K+1), 2*sigma^2 = 1/(K+1).
+        SpeedParams {
+            nu: (k / (k + 1.0)).sqrt(),
+            sigma: (0.5 / (k + 1.0)).sqrt(),
+            shadowing_db: config.effective_shadowing_db().get(),
+            coherence: config.coherence_time(),
+        }
+    }
 }
 
 impl FadingProcess {
@@ -160,6 +190,7 @@ impl FadingProcess {
             "shadowing coherence must be positive"
         );
         FadingProcess {
+            params: SpeedParams::of(&config),
             config,
             rng,
             current: None,
@@ -174,19 +205,20 @@ impl FadingProcess {
     }
 
     /// Update the relative speed (the coherence time adapts from the next
-    /// resample on). Used as the UAVs accelerate/decelerate.
+    /// resample on). Used as the UAVs accelerate/decelerate. The
+    /// speed-derived parameters are recomputed only when the speed's bits
+    /// change; a TXOP loop calls this once per TXOP at a steady speed.
     pub fn set_relative_speed(&mut self, v: MetersPerSec) {
         assert!(v.get() >= 0.0 && v.is_finite());
-        self.config.relative_speed_mps = v.get();
+        if v.get().to_bits() != self.config.relative_speed_mps.to_bits() {
+            self.config.relative_speed_mps = v.get();
+            self.params = SpeedParams::of(&self.config);
+        }
     }
 
     /// Sample one Rician branch power (mean 1.0).
     fn sample_branch(&mut self) -> f64 {
-        let k = self.config.effective_k_db().ratio();
-        // LOS amplitude nu and diffuse sigma chosen so E[power] = 1:
-        // nu^2 = K/(K+1), 2*sigma^2 = 1/(K+1).
-        let nu = (k / (k + 1.0)).sqrt();
-        let sigma = (0.5 / (k + 1.0)).sqrt();
+        let SpeedParams { nu, sigma, .. } = self.params;
         let x = self.rng.normal(nu, sigma);
         let y = self.rng.normal(0.0, sigma);
         x * x + y * y
@@ -200,9 +232,7 @@ impl FadingProcess {
             }
         }
         if self.shadow_expiry.is_none_or(|e| now >= e) {
-            let db = self
-                .rng
-                .normal(0.0, self.config.effective_shadowing_db().get());
+            let db = self.rng.normal(0.0, self.params.shadowing_db);
             self.shadowing = db_to_linear(db);
             self.shadow_expiry =
                 Some(now + SimDuration::from_secs_f64(self.config.shadowing_coherence_s));
@@ -210,7 +240,7 @@ impl FadingProcess {
         let state = ChannelState {
             branch_gain: [self.sample_branch(), self.sample_branch()],
             shadowing: self.shadowing,
-            valid_until: now + self.config.coherence_time(),
+            valid_until: now + self.params.coherence,
         };
         self.current = Some(state);
         state
@@ -298,6 +328,21 @@ mod tests {
         assert_eq!(s0, s1);
         let s2 = p.state_at(s0.valid_until);
         assert_ne!(s0.branch_gain, s2.branch_gain);
+    }
+
+    #[test]
+    fn speed_change_applies_from_next_block() {
+        let mut p = process(10.0, 1.0, 6);
+        let s0 = p.state_at(SimTime::ZERO);
+        p.set_relative_speed(MetersPerSec::new(20.0));
+        assert_eq!(
+            p.state_at(SimTime::ZERO),
+            s0,
+            "the live block keeps its state"
+        );
+        let s1 = p.state_at(s0.valid_until);
+        let tc_fast = config(10.0, 20.0).coherence_time();
+        assert_eq!(s1.valid_until, s0.valid_until + tc_fast);
     }
 
     #[test]

@@ -147,7 +147,7 @@ fn transfer_conserves_bytes_through_txop_engine() {
             // (everything counts as undelivered and is retried).
             if !out.block_ack_lost {
                 assert_eq!(
-                    out.received.iter().filter(|&&b| b).count() as u32,
+                    out.received.count_ones(),
                     out.delivered,
                     "per-frame flags inconsistent with the delivery count"
                 );
