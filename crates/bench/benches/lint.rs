@@ -1,4 +1,4 @@
-//! Lint engine microbench, and the full-workspace latency gate.
+//! Lint engine microbench, and the v2-over-v1 cost-ratio gate.
 //!
 //! The v2 engine replaced the v1 per-line substring scan with a full
 //! lexer → items → taint pipeline; this bench quantifies what that
@@ -10,10 +10,11 @@
 //! * **v2-full-pass** — the whole registry, including the per-file
 //!   item model and the workspace taint rules.
 //!
-//! Then the gate: one timed cold full pass over the workspace must
-//! finish under `SKYFERRY_LINT_GATE_MS` milliseconds (default 2000) —
-//! the lint runs on every CI push, so it must stay interactive.
-//! Results land in `BENCH_lint.json`.
+//! Then the gate: the v2 full pass may cost at most
+//! [`MAX_V2_OVER_V1`] times the v1 line rules, both medians from this
+//! run. A ratio holds on any runner, so a 2× slowdown of the full pass
+//! fails on a fast machine and a slow one alike. Results land in
+//! `BENCH_lint.json`.
 
 use std::hint::black_box;
 
@@ -22,7 +23,11 @@ use skyferry_lint::lexer::lex;
 use skyferry_lint::rules::{lint_files_with, registry, Check, Rule};
 use skyferry_lint::walk::{rust_files, workspace_root};
 use skyferry_stats::json::Json;
-use skyferry_trace::clock::monotonic_ns;
+
+/// Largest accepted `v2_over_v1`. Set from measured runs (see the
+/// lint-gate entry in CHANGES.md) so the noise passes and a full pass
+/// twice as slow does not.
+const MAX_V2_OVER_V1: f64 = 2.0;
 
 /// Load the workspace corpus exactly as the lint binary does:
 /// `(repo-relative path, source)`, sorted by the deterministic walk.
@@ -72,25 +77,10 @@ fn main() {
         black_box(lint_files_with(&files, &full_rules).findings.len())
     });
 
-    // The gate: one timed full pass (median over the bench batches is
-    // the steady-state number; the gate uses a fresh single pass so a
-    // pathological first-run cost cannot hide in the warm-up).
-    let gate_ms: f64 = std::env::var("SKYFERRY_LINT_GATE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000.0);
-    let t0 = monotonic_ns();
-    let findings = lint_files_with(&files, &full_rules).findings.len();
-    let full_pass_s = (monotonic_ns() - t0) as f64 / 1e9;
-    println!(
-        "\nfull-workspace pass: {:.3} s, {} finding(s) (gate {:.1} s)",
-        full_pass_s,
-        findings,
-        gate_ms / 1e3
-    );
-
     let v1_ns = median_ns(&h, "lint/v1-line-rules");
     let v2_ns = median_ns(&h, "lint/v2-full-pass");
+    let ratio = v2_ns / v1_ns;
+    println!("\nv2 full pass / v1 line rules: {ratio:.2} (gate {MAX_V2_OVER_V1:.2})");
     let json = Json::obj([
         ("bench", Json::str("lint-engine")),
         (
@@ -110,13 +100,10 @@ fn main() {
                 ("v2_full_pass", Json::Fixed(v2_ns, 1)),
             ]),
         ),
-        ("v2_over_v1", Json::Fixed(v2_ns / v1_ns, 2)),
+        ("v2_over_v1", Json::Fixed(ratio, 2)),
         (
             "gate",
-            Json::obj([
-                ("full_pass_s", Json::Fixed(full_pass_s, 4)),
-                ("budget_s", Json::Fixed(gate_ms / 1e3, 4)),
-            ]),
+            Json::obj([("max_v2_over_v1", Json::Fixed(MAX_V2_OVER_V1, 2))]),
         ),
     ]);
     // Cargo runs benches with cwd = the package dir; anchor the report
@@ -126,10 +113,9 @@ fn main() {
     println!("wrote BENCH_lint.json");
     h.finish();
 
-    if full_pass_s * 1e3 >= gate_ms {
+    if ratio > MAX_V2_OVER_V1 {
         eprintln!(
-            "GATE FAILED: full-workspace lint pass {full_pass_s:.3} s >= {:.1} s budget",
-            gate_ms / 1e3
+            "GATE FAILED: v2 full pass costs {ratio:.2}x the v1 line rules (> {MAX_V2_OVER_V1:.2})"
         );
         std::process::exit(1);
     }

@@ -1,4 +1,4 @@
-//! Trajectory-planner microbench, and the DP-grid build-time gate.
+//! Trajectory-planner microbench, and the DP-over-scalar cost-ratio gate.
 //!
 //! The planner's cost is one dense sweep over the distance × battery
 //! grid (rings × sectors × buckets states, three successor legs each)
@@ -7,16 +7,21 @@
 //! * **quick-grid** — the `--quick` resolution used by CI smoke runs;
 //! * **baseline-grid** — the full golden-experiment resolution;
 //! * **degenerate-calm** — the calm-air case, whose straight
-//!   refinement must reproduce the scalar optimizer bit-for-bit.
+//!   refinement must reproduce the scalar optimizer bit-for-bit;
+//! * **scalar-optimize** — one Eq. (2) `optimize_view` solve of the
+//!   baseline scenario, the decision the planner generalises.
 //!
-//! Then the gate: one timed cold baseline-grid plan must finish under
-//! `SKYFERRY_TRAJ_GATE_MS` milliseconds (default 500) — the planner
-//! runs per replication inside campaigns, so it must stay cheap.
-//! Results land in `BENCH_traj.json`.
+//! Then the gate: one timed cold baseline-grid plan may cost at most
+//! [`MAX_DP_OVER_SCALAR`] scalar solves of the same scenario, timed in
+//! the same run. The planner runs per replication inside campaigns, so
+//! it must stay cheap; a ratio holds on any runner, so a 2× slower
+//! build fails on a fast machine and a slow one alike. Results land in
+//! `BENCH_traj.json`.
 
 use std::hint::black_box;
 
 use skyferry_bench::microbench::Harness;
+use skyferry_core::optimizer::optimize_view;
 use skyferry_stats::json::Json;
 use skyferry_trace::clock::monotonic_ns;
 use skyferry_traj::campaign::battery_budget;
@@ -25,6 +30,11 @@ use skyferry_traj::GridSpec;
 use skyferry_uav::platform::PlatformKind;
 use skyferry_uav::wind::WindConfig;
 use skyferry_units::MetersPerSec;
+
+/// Largest accepted cold baseline DP build, in scalar solves. Set from
+/// measured runs (see the traj-gate entry in CHANGES.md) so the noise
+/// passes and a build twice as slow does not.
+const MAX_DP_OVER_SCALAR: f64 = 340.0;
 
 fn config(wind: WindConfig, grid: GridSpec) -> TrajConfig {
     let mut cfg = TrajConfig::baseline(
@@ -68,23 +78,24 @@ fn main() {
     h.bench("traj/degenerate-calm", || {
         black_box(plan(&calm).optimized.d_tx_m)
     });
+    h.bench("traj/scalar-optimize", || {
+        black_box(optimize_view(baseline.scenario.view()).d_opt)
+    });
 
     // The gate: one fresh cold plan at the golden resolution (the bench
     // medians above are steady-state; the gate catches a pathological
-    // cold cost that warm-up batches would hide).
-    let gate_ms: f64 = std::env::var("SKYFERRY_TRAJ_GATE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500.0);
+    // cold cost that warm-up batches would hide), measured in scalar
+    // solves of the same scenario.
     let t0 = monotonic_ns();
     let sol = plan(&baseline);
     let build_s = (monotonic_ns() - t0) as f64 / 1e9;
+    let scalar_ns = median_ns(&h, "traj/scalar-optimize");
+    let ratio = build_s * 1e9 / scalar_ns;
     println!(
-        "\nbaseline DP build: {:.4} s, d_tx {:.2} m, gain {:.4} (gate {:.2} s)",
+        "\nbaseline DP build: {:.4} s, d_tx {:.2} m, gain {:.4}; {ratio:.0} scalar solves (gate {MAX_DP_OVER_SCALAR:.0})",
         build_s,
         sol.optimized.d_tx_m,
         sol.gain(),
-        gate_ms / 1e3
     );
 
     let json = Json::obj([
@@ -111,13 +122,15 @@ fn main() {
                     "degenerate_calm",
                     Json::Fixed(median_ns(&h, "traj/degenerate-calm"), 1),
                 ),
+                ("scalar_optimize", Json::Fixed(scalar_ns, 1)),
             ]),
         ),
         (
             "gate",
             Json::obj([
                 ("dp_build_s", Json::Fixed(build_s, 4)),
-                ("budget_s", Json::Fixed(gate_ms / 1e3, 4)),
+                ("dp_over_scalar", Json::Fixed(ratio, 1)),
+                ("max_dp_over_scalar", Json::Fixed(MAX_DP_OVER_SCALAR, 1)),
             ]),
         ),
     ]);
@@ -128,10 +141,9 @@ fn main() {
     println!("wrote BENCH_traj.json");
     h.finish();
 
-    if build_s * 1e3 >= gate_ms {
+    if ratio > MAX_DP_OVER_SCALAR {
         eprintln!(
-            "GATE FAILED: baseline DP plan {build_s:.4} s >= {:.2} s budget",
-            gate_ms / 1e3
+            "GATE FAILED: cold baseline DP build costs {ratio:.0} scalar solves (> {MAX_DP_OVER_SCALAR:.0})"
         );
         std::process::exit(1);
     }

@@ -1,12 +1,16 @@
 //! `skyferryd` — the long-running decision server.
 //!
 //! ```text
-//! skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N] [--batch N]
+//! skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N]
 //!           [--cache-capacity N] [--exact | --quant-d0 M --quant-mdata MB
 //!            --quant-rho R --quant-speed V] [--no-cache]
 //!           [--policy FILE] [--policy-interp]
 //!           [--deterministic] [--threads N] [--trace PATH]
 //! ```
+//!
+//! Each shard decides its requests one at a time; `--shards N` is the
+//! only parallelism. `--threads N` is accepted for compatibility with
+//! older scripts and ignored.
 //!
 //! Prints `listening on <addr>` once the socket is bound (scripts wait
 //! for that line), then serves until a `shutdown` control request.
@@ -15,7 +19,7 @@
 //! version-mismatched artifact is rejected at startup with the typed
 //! decode error. `--policy-interp` interpolates between cell centres
 //! instead of nearest-cell lookup. `--trace PATH` records every request
-//! as a span tree (parse → queue → cache → compute → respond, or parse
+//! as a span tree (parse → queue → decide → respond, or parse
 //! → policy-lookup → respond on the table path) and writes the merged
 //! trace on shutdown — `.jsonl` for the compact format, anything else
 //! for Chrome `trace_event` JSON (loadable in Perfetto).
@@ -30,7 +34,6 @@ use skyferry_trace as trace;
 
 struct Args {
     server: ServerConfig,
-    threads: usize,
     trace_path: Option<String>,
     policy_path: Option<String>,
     policy_interp: bool,
@@ -41,7 +44,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         addr: "127.0.0.1:4517".to_string(),
         ..Default::default()
     };
-    let mut threads = 0usize;
     let mut trace_path = None;
     let mut policy_path = None;
     let mut policy_interp = false;
@@ -60,7 +62,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--addr" => server.addr = value(&mut raw, "--addr")?,
             "--shards" => server.shards = value(&mut raw, "--shards")?,
             "--queue-depth" => server.queue_depth = value(&mut raw, "--queue-depth")?,
-            "--batch" => server.max_batch = value(&mut raw, "--batch")?,
             "--cache-capacity" => {
                 server.engine.cache_capacity = value(&mut raw, "--cache-capacity")?
             }
@@ -71,7 +72,10 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--quant-speed" => quant.speed_step_mps = Some(value(&mut raw, "--quant-speed")?),
             "--no-cache" => server.engine.cache_enabled = false,
             "--deterministic" => server.deterministic = true,
-            "--threads" => threads = value(&mut raw, "--threads")?,
+            // Accepted and ignored: there is no solve pool to size.
+            "--threads" => {
+                value::<usize>(&mut raw, "--threads")?;
+            }
             "--trace" => trace_path = Some(value(&mut raw, "--trace")?),
             "--policy" => policy_path = Some(value(&mut raw, "--policy")?),
             "--policy-interp" => policy_interp = true,
@@ -85,7 +89,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     server.engine.quant = quant;
     Ok(Args {
         server,
-        threads,
         trace_path,
         policy_path,
         policy_interp,
@@ -93,9 +96,9 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
-[--batch N] [--cache-capacity N] [--exact] [--quant-d0 M] [--quant-mdata MB] [--quant-rho R] \
+[--cache-capacity N] [--exact] [--quant-d0 M] [--quant-mdata MB] [--quant-rho R] \
 [--quant-speed V] [--no-cache] [--policy FILE] [--policy-interp] [--deterministic] \
-[--threads N] [--trace PATH]";
+[--trace PATH] [--threads N (ignored)]";
 
 fn main() {
     let mut args = match parse_args(std::env::args().skip(1)) {
@@ -108,7 +111,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    skyferry_sim::parallel::set_max_threads(args.threads);
     if let Some(path) = &args.policy_path {
         let table = match PolicyTable::load_file(std::path::Path::new(path)) {
             Ok(t) => t,
@@ -150,7 +152,7 @@ fn main() {
     println!("listening on {}", handle.addr());
     let e = &args.server.engine;
     eprintln!(
-        "skyferryd: {} shard{}, cache {} (capacity {}, {}), queue depth {}, batch {}, {} mode",
+        "skyferryd: {} shard{}, cache {} (capacity {}, {}), queue depth {}, {} mode",
         args.server.shards.max(1),
         if args.server.shards.max(1) == 1 {
             ""
@@ -165,7 +167,6 @@ fn main() {
             "quantized keys".to_string()
         },
         args.server.queue_depth,
-        args.server.max_batch,
         if args.server.deterministic {
             "deterministic"
         } else {
@@ -206,8 +207,6 @@ mod tests {
             "4",
             "--queue-depth",
             "8",
-            "--batch",
-            "16",
             "--cache-capacity",
             "100",
             "--exact",
@@ -219,11 +218,9 @@ mod tests {
         assert_eq!(a.server.addr, "127.0.0.1:0");
         assert_eq!(a.server.shards, 4);
         assert_eq!(a.server.queue_depth, 8);
-        assert_eq!(a.server.max_batch, 16);
         assert_eq!(a.server.engine.cache_capacity, 100);
         assert!(a.server.engine.quant.is_exact());
         assert!(a.server.deterministic);
-        assert_eq!(a.threads, 2);
         assert_eq!(a.trace_path, None);
 
         let a = parse(&["--trace", "/tmp/d.trace.json"]).expect("valid");

@@ -17,10 +17,8 @@
 //!   newline-delimited JSON and the length-prefixed `bin1` binary
 //!   codec a connection can negotiate mid-stream
 //!   (`{"cmd":"codec","v":"bin1"}`);
-//! * [`engine`] — batch decision evaluation with
-//!   *sequential-equivalent* cache semantics: responses, hit flags
-//!   and eviction order are bit-identical to one-at-a-time serving, at
-//!   any worker count and any batch partitioning;
+//! * [`engine`] — one decision at a time: cache lookup, and on a miss
+//!   an Eq. (2) solve of the snapped parameters plus an insert;
 //! * [`cache`] — a deterministic LRU keyed on quantized parameter
 //!   buckets ([`skyferry_core::request::Quantizer`]), mirroring the
 //!   repro harness's `CampaignStore` economics at per-request scale;
@@ -36,9 +34,9 @@
 //!   and its metrics slice; decide requests route to the shard owning
 //!   their quantized key via per-shard FIFO mailboxes (a
 //!   `Mutex<VecDeque>` plus a poll waker; the mutex guards the message
-//!   queue, never the decision path), and pipelined frames are answered
-//!   as engine batches; backlog is capped by a per-shard atomic
-//!   reservation taken at the sending side;
+//!   queue, never the decision path), and pipelined frames are decided
+//!   one at a time in arrival order; backlog is capped by a per-shard
+//!   atomic reservation taken at the sending side;
 //! * [`server`] — the TCP front end: one accept thread dealing
 //!   connections to the shard loops round-robin, graceful
 //!   ack-then-drain shutdown on a control message;

@@ -718,6 +718,7 @@ fn drive_connection(
     let mut done = 0usize;
     let mut prev_done_ns = 0u64;
     let started_ns = monotonic_ns();
+    let due_ns = |i: usize, rate: f64| started_ns + (i as f64 / rate * 1e9) as u64;
 
     while done < lines.len() {
         // Send while the window allows (and, open loop, the schedule
@@ -726,7 +727,7 @@ fn drive_connection(
         let mut burst_n = 0usize;
         while sent < lines.len() && sent - done < window {
             if let Some(rate) = rate_per_conn {
-                let due_ns = started_ns + (sent as f64 / rate * 1e9) as u64;
+                let due_ns = due_ns(sent, rate);
                 let now_ns = monotonic_ns();
                 if now_ns < due_ns {
                     if burst_n == 0 && done == sent {
@@ -747,8 +748,11 @@ fn drive_connection(
         if !burst.is_empty() {
             stream.write_all(&burst)?;
             let now_ns = monotonic_ns();
-            for _ in 0..burst_n {
-                send_times.push_back(now_ns);
+            for i in sent - burst_n..sent {
+                // Open loop: rtt runs from the *scheduled* send, so time
+                // this request spent waiting behind a blocking read
+                // still counts (no coordinated omission).
+                send_times.push_back(rate_per_conn.map_or(now_ns, |rate| due_ns(i, rate)));
             }
         }
         if done < sent {
@@ -1728,6 +1732,39 @@ mod tests {
         // beyond the true interval: sent at 40 µs, answered at 45 µs.
         let (rtt, service) = split_latency(45_000, 40_000, prev);
         assert_eq!((rtt, service), (5.0, 5.0));
+    }
+
+    // A reply that stalls the client's blocking read must not hide the
+    // next request's wait: at 1000 req/s the second request is due 1 ms
+    // in, but cannot be written until the first reply lands 50 ms in,
+    // so its rtt (timed from its scheduled send) is at least ~49 ms.
+    #[test]
+    fn open_loop_rtt_counts_from_the_scheduled_send() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            for i in 0..2 {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("request");
+                if i == 0 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                writer.write_all(b"{\"d_star\":100.0}\n").expect("reply");
+            }
+        });
+        let lines = vec![r#"{"platform":"airplane"}"#.to_string(); 2];
+        let result =
+            drive_connection(&addr, &lines, 1, Some(1000.0), Codec::Ndjson).expect("drive");
+        server.join().expect("listener thread");
+        assert_eq!(result.rtt_us.len(), 2);
+        assert!(
+            result.rtt_us[1] >= 40_000.0,
+            "second rtt {} µs hides the stalled send",
+            result.rtt_us[1]
+        );
     }
 
     #[test]

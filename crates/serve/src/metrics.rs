@@ -249,8 +249,8 @@ pub struct Metrics {
     pub overloaded: AtomicU64,
     /// `shutting-down` responses.
     pub shed_on_shutdown: AtomicU64,
-    /// Service latency per decision, engine batches and policy lookups
-    /// alike.
+    /// Service latency per decision: the request's own engine
+    /// lookup-or-solve, or its policy-table lookup.
     pub latency: AtomicLatency,
 }
 

@@ -11,10 +11,10 @@
 //!   quantized key; everything else happens where the connection lives.
 //!
 //! Requests are **pipelined**: a shard parses as many complete frames
-//! per readable event as the socket delivered and answers them as one
-//! engine batch, so a client streaming requests without waiting gets
-//! batched service automatically. Responses still leave each
-//! connection in request order (per-connection reorder buffer).
+//! per readable event as the socket delivered, then decides them one at
+//! a time in arrival order. Responses leave each connection in request
+//! order (per-connection reorder buffer). Parallelism comes only from
+//! running more shards.
 //!
 //! With a compiled policy table (`--policy`), in-range decide requests
 //! never touch a cache shard: the parsing shard answers them from the
@@ -51,8 +51,6 @@ pub struct ServerConfig {
     /// Bounded per-shard decide backlog (0 = shed every decision, for
     /// tests).
     pub queue_depth: usize,
-    /// Most decides a shard serves per engine batch.
-    pub max_batch: usize,
     /// Engine (cache) configuration; every shard gets its own engine
     /// built from this (each with the full configured cache capacity).
     pub engine: EngineConfig,
@@ -71,7 +69,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_depth: 1024,
-            max_batch: 64,
             engine: EngineConfig::default(),
             shards: 1,
             policy: None,
@@ -142,29 +139,17 @@ pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         policy: cfg.policy.clone().map(PolicyState::new),
         deterministic: cfg.deterministic,
         queue_depth: cfg.queue_depth,
-        max_batch: cfg.max_batch.max(1),
         shutdown: AtomicBool::new(false),
         remote_inflight: AtomicUsize::new(0),
         addr: Mutex::new(Some(addr)),
     });
 
-    // With more than one shard, solves run inline on the shard thread —
-    // each shard *is* a worker, nesting a pool per batch would only add
-    // spawn overhead. A single shard keeps the configured pool.
-    let shard_engine = EngineConfig {
-        solve_threads: if nshards > 1 {
-            1
-        } else {
-            cfg.engine.solve_threads
-        },
-        ..cfg.engine
-    };
     let shard_handles: Vec<JoinHandle<()>> = receivers
         .into_iter()
         .enumerate()
         .map(|(id, receiver)| {
             let state = Arc::clone(&state);
-            let engine_cfg = shard_engine;
+            let engine_cfg = cfg.engine;
             std::thread::spawn(move || ShardLoop::new(state, id, receiver, engine_cfg).run())
         })
         .collect();

@@ -16,23 +16,23 @@
 //! target's `poll(2)` wait:
 //!
 //! * [`Msg::Remote`] — a decide whose key hashes to another shard; the
-//!   owning shard solves it in its own batch and sends
-//!   [`Msg::RemoteDone`] back to the origin, which renders the response
-//!   in the codec tagged at parse time.
-//! * [`Msg::Control`] — `reset`/`cache` broadcasts. Each shard flushes
-//!   its in-flight batch (the same barrier semantics the old dispatcher
-//!   had), applies the op, and decrements a countdown; the last shard
-//!   acks to the origin. The origin enqueues the broadcast *before*
-//!   parsing the next frame, and inboxes are FIFO, so a decide sent
-//!   after a `reset` on the same connection always observes the reset.
+//!   owning shard decides it in arrival order with its own decides and
+//!   sends [`Msg::RemoteDone`] back to the origin, which renders the
+//!   response in the codec tagged at parse time.
+//! * [`Msg::Control`] — `reset`/`cache` broadcasts. Each shard first
+//!   decides every job it has queued (a barrier), applies the op, and
+//!   decrements a countdown; the last shard acks to the origin. The
+//!   origin enqueues the broadcast *before* parsing the next frame, and
+//!   inboxes are FIFO, so a decide sent after a `reset` on the same
+//!   connection always observes the reset.
 //!
 //! ## Sequential equivalence, per shard
 //!
-//! A shard feeds its engine the decides it owns **in arrival order**
-//! (inbox first, then the frames parsed this iteration) and the
-//! engine's three-pass batch serve is bit-identical to one-at-a-time
-//! serving of that subsequence. Because a key's solve depends only on
-//! its snapped parameters, the `d_star` stream a client observes is
+//! A shard feeds its engine the decides it owns one at a time, **in
+//! arrival order** (inbox first, then the frames parsed this
+//! iteration), so its cache sees exactly that subsequence of the
+//! stream. Because a key's solve depends only on its snapped
+//! parameters, the `d_star` stream a client observes is
 //! identical across shard *counts* too; hit/miss totals are identical
 //! whenever the working set fits the cache (each unique key lives in
 //! exactly one shard), which is what the loadgen `--expect-identical`
@@ -95,7 +95,7 @@ pub fn route_shard(key: &Key, nshards: usize) -> usize {
 }
 
 /// Mirror of a shard's cache counters, published by the owning shard
-/// after every batch so `{"cmd":"stats"}` can be served from any shard
+/// after every decision so `{"cmd":"stats"}` can be served from any shard
 /// without touching another shard's engine.
 #[derive(Debug, Default)]
 pub(crate) struct CacheMirror {
@@ -125,7 +125,7 @@ pub(crate) struct ShardShared {
     pub id: usize,
     pub inbox: Mutex<VecDeque<Msg>>,
     pub waker: Waker,
-    /// Decides queued for this shard (inbox + current batch), bounded
+    /// Decides queued for this shard (inbox + undecided jobs), bounded
     /// by `queue_depth`; reservation happens at the *sending* side so a
     /// full shard sheds `overloaded` before any cross-shard traffic.
     pub backlog: AtomicUsize,
@@ -170,7 +170,6 @@ pub(crate) struct ServerState {
     pub policy: Option<PolicyState>,
     pub deterministic: bool,
     pub queue_depth: usize,
-    pub max_batch: usize,
     pub shutdown: AtomicBool,
     /// Decides routed cross-shard whose responses have not yet reached
     /// their origin — part of the drain condition on shutdown.
@@ -209,9 +208,10 @@ impl CtlOp {
     }
 }
 
-/// A decide routed to the shard owning its key.
+/// A decide queued on the shard owning its key (routed there through
+/// [`Msg::Remote`] when that is not the parsing shard).
 #[derive(Debug)]
-pub(crate) struct RemoteDecide {
+pub(crate) struct DecideJob {
     pub params: DecisionParams,
     pub origin: usize,
     pub conn: u64,
@@ -246,7 +246,7 @@ pub(crate) struct ControlMsg {
 /// Everything that can land in a shard's inbox.
 pub(crate) enum Msg {
     NewConn(TcpStream),
-    Remote(RemoteDecide),
+    Remote(DecideJob),
     RemoteDone(RemoteDone),
     Control(ControlMsg),
     ControlDone {
@@ -255,18 +255,6 @@ pub(crate) enum Msg {
         codec: Codec,
         op: CtlOp,
     },
-}
-
-/// One decide awaiting this shard's next engine batch.
-struct BatchJob {
-    params: DecisionParams,
-    origin: usize,
-    conn: u64,
-    seq: u64,
-    codec: Codec,
-    t_recv_ns: u64,
-    t_parsed_ns: u64,
-    req_id: u64,
 }
 
 /// Why a connection's frame parsing is paused.
@@ -403,7 +391,8 @@ pub(crate) struct ShardLoop {
     poller: Poller,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
-    batch: Vec<BatchJob>,
+    /// Decides owned by this shard, in arrival order, not yet decided.
+    batch: Vec<DecideJob>,
 }
 
 impl ShardLoop {
@@ -434,7 +423,7 @@ impl ShardLoop {
     }
 
     /// The event loop. One iteration = wait, drain inbox, handle socket
-    /// events, flush the engine batch, flush writes, reap finished
+    /// events, decide the queued jobs, flush writes, reap finished
     /// connections.
     pub fn run(mut self) {
         self.poller
@@ -458,8 +447,8 @@ impl ShardLoop {
                     self.handle_event(ev);
                 }
             }
-            // A lifting gate can resume parsing mid-flush and feed the
-            // batch again — keep flushing until it is genuinely empty,
+            // A lifting gate can resume parsing mid-flush and queue more
+            // jobs — keep flushing until it is genuinely empty,
             // or the next `wait` could block on work already accepted.
             while !self.batch.is_empty() {
                 self.flush_batch();
@@ -502,16 +491,7 @@ impl ShardLoop {
             let Some(msg) = msg else { break };
             match msg {
                 Msg::NewConn(stream) => self.add_conn(stream),
-                Msg::Remote(r) => self.batch.push(BatchJob {
-                    params: r.params,
-                    origin: r.origin,
-                    conn: r.conn,
-                    seq: r.seq,
-                    codec: r.codec,
-                    t_recv_ns: r.t_recv_ns,
-                    t_parsed_ns: r.t_parsed_ns,
-                    req_id: r.req_id,
-                }),
+                Msg::Remote(job) => self.batch.push(job),
                 Msg::RemoteDone(d) => {
                     self.state.remote_inflight.fetch_sub(1, Ordering::SeqCst);
                     self.finish_decide(
@@ -695,7 +675,7 @@ impl ShardLoop {
             Request::Decide(params) => self.handle_decide(id, seq, codec, params, t_recv_ns),
             Request::Stats => {
                 self.mark_control();
-                // Read-your-writes: flush the local batch, and if this
+                // Read-your-writes: decide the queued jobs, and if this
                 // connection still has decides in flight on other
                 // shards, gate until they drain so the snapshot
                 // includes every decide sent before the stats request.
@@ -856,29 +836,21 @@ impl ShardLoop {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight += 1;
         }
+        let job = DecideJob {
+            params,
+            origin: self.id,
+            conn: id,
+            seq,
+            codec,
+            t_recv_ns,
+            t_parsed_ns,
+            req_id,
+        };
         if target == self.id {
-            self.batch.push(BatchJob {
-                params,
-                origin: self.id,
-                conn: id,
-                seq,
-                codec,
-                t_recv_ns,
-                t_parsed_ns,
-                req_id,
-            });
+            self.batch.push(job);
         } else {
             self.state.remote_inflight.fetch_add(1, Ordering::SeqCst);
-            self.state.shards[target].send(Msg::Remote(RemoteDecide {
-                params,
-                origin: self.id,
-                conn: id,
-                seq,
-                codec,
-                t_recv_ns,
-                t_parsed_ns,
-                req_id,
-            }));
+            self.state.shards[target].send(Msg::Remote(job));
         }
     }
 
@@ -945,25 +917,20 @@ impl ShardLoop {
         }
     }
 
-    /// Solve everything accumulated this iteration as engine batches
-    /// (chunked to `max_batch`), in arrival order.
+    /// Decide every queued job, one at a time in arrival order.
     fn flush_batch(&mut self) {
-        if self.batch.is_empty() {
-            return;
+        for job in std::mem::take(&mut self.batch) {
+            self.decide_job(job);
         }
-        let jobs = std::mem::take(&mut self.batch);
-        for chunk in jobs.chunks(self.state.max_batch.max(1)) {
-            self.flush_chunk(chunk);
-        }
-        self.me()
-            .cache
-            .publish(&self.engine.cache_stats(), self.engine.cache_enabled());
     }
 
-    fn flush_chunk(&mut self, jobs: &[BatchJob]) {
-        let params: Vec<DecisionParams> = jobs.iter().map(|j| j.params).collect();
-        let (served, timing) = self.engine.serve_batch_timed(&params);
-        let dt_us = timing.t_done_ns.saturating_sub(timing.t_start_ns) as f64 / 1e3;
+    /// Decide one job, timing the lookup-or-solve on its own, and hand
+    /// the decision back to the job's origin shard.
+    fn decide_job(&mut self, job: DecideJob) {
+        let t_start_ns = monotonic_ns();
+        let decision = self.engine.decide(&job.params);
+        let t_done_ns = monotonic_ns();
+        let dt_us = t_done_ns.saturating_sub(t_start_ns) as f64 / 1e3;
         let us_served = if self.state.deterministic {
             0
         } else {
@@ -971,40 +938,31 @@ impl ShardLoop {
         };
         {
             let me = self.me();
-            me.metrics
-                .decisions
-                .fetch_add(served.len() as u64, Ordering::Relaxed);
-            for _ in &served {
-                me.metrics.latency.record(dt_us);
-            }
-            me.backlog.fetch_sub(jobs.len(), Ordering::SeqCst);
+            me.metrics.decisions.fetch_add(1, Ordering::Relaxed);
+            me.metrics.latency.record(dt_us);
+            me.backlog.fetch_sub(1, Ordering::SeqCst);
+            me.cache
+                .publish(&self.engine.cache_stats(), self.engine.cache_enabled());
         }
-        for (job, decision) in jobs.iter().zip(&served) {
-            if job.origin == self.id {
-                self.finish_decide(
-                    job.conn,
-                    job.seq,
-                    render_decision(job.codec, decision, us_served),
-                );
-            } else {
-                // `send` wakes per message; wakes coalesce, so the
-                // duplicate wakes for a big batch cost one pipe byte.
-                self.state.shards[job.origin].send(Msg::RemoteDone(RemoteDone {
-                    conn: job.conn,
-                    seq: job.seq,
-                    codec: job.codec,
-                    decision: *decision,
-                    us_served,
-                }));
-            }
+        if job.origin == self.id {
+            self.finish_decide(
+                job.conn,
+                job.seq,
+                render_decision(job.codec, &decision, us_served),
+            );
+        } else {
+            self.state.shards[job.origin].send(Msg::RemoteDone(RemoteDone {
+                conn: job.conn,
+                seq: job.seq,
+                codec: job.codec,
+                decision,
+                us_served,
+            }));
         }
         if trace::enabled() {
-            let t_respond_ns = monotonic_ns();
-            for (job, decision) in jobs.iter().zip(&served) {
-                let span = trace::manual_span("request");
-                if !span.live() {
-                    continue;
-                }
+            let span = trace::manual_span("request");
+            if span.live() {
+                let t_respond_ns = monotonic_ns();
                 span.finish_tree(
                     job.t_recv_ns,
                     t_respond_ns,
@@ -1016,10 +974,9 @@ impl ShardLoop {
                     ),
                     &[
                         ("parse", job.t_recv_ns, job.t_parsed_ns),
-                        ("queue", job.t_parsed_ns, timing.t_start_ns),
-                        ("cache", timing.t_start_ns, timing.t_cache_ns),
-                        ("compute", timing.t_cache_ns, timing.t_done_ns),
-                        ("respond", timing.t_done_ns, t_respond_ns),
+                        ("queue", job.t_parsed_ns, t_start_ns),
+                        ("decide", t_start_ns, t_done_ns),
+                        ("respond", t_done_ns, t_respond_ns),
                     ],
                 );
             }
@@ -1263,7 +1220,6 @@ mod tests {
             policy: None,
             deterministic: true,
             queue_depth: 16,
-            max_batch: 64,
             shutdown: AtomicBool::new(false),
             remote_inflight: AtomicUsize::new(0),
             addr: Mutex::new(None),
