@@ -2,39 +2,43 @@
 //!
 //! ```text
 //! skyferry-loadgen --addr HOST:PORT [--requests N] [--concurrency N]
-//!                  [--window N] [--rate RPS] [--conns N]
+//!                  [--window N] [--conns N [--rate RPS]]
 //!                  [--saturation R1,R2,...] [--codec ndjson|bin1]
-//!                  [--seed N] [--pool N]
-//!                  [--unique-frac F] [--grid quick|full]
-//!                  [--fleet-trace FILE] [--compare]
+//!                  [--grid quick|full] [--fleet-trace FILE] [--compare]
 //!                  [--policy-compare] [--miss-heavy] [--min-speedup X]
 //!                  [--min-table-speedup X] [--expect-identical]
 //!                  [--check] [--out FILE] [--shutdown-after]
 //! ```
 //!
-//! `--policy-compare` needs a server started with `--policy FILE`;
-//! `--grid` aligns the request mix to that table's cell centres so the
-//! `table`, `cache` and `no-cache` phases solve bit-identical
-//! parameters. `--conns N --rate R` switches the measured phases to the
-//! reactor-multiplexed many-connection open loop; `--saturation`
-//! appends a latency-under-load sweep over the same engine. Latency is
-//! printed as `rtt` (send-to-response, pipeline queueing included) and
-//! `svc` (the in-order service decomposition, comparable to the
-//! server-side histogram). `--fleet-trace FILE` replays a recorded
-//! fleet request stream (`repro --export-fleet-trace` JSONL) instead of
-//! the random mix and prints its inter-arrival statistics; with
-//! `--compare --expect-identical` the replayed `d_star` streams are
-//! gated bitwise across phases. Exit codes: 0 success, 1 a `--check`
-//! gate failed or the server was unreachable, 2 bad arguments.
+//! One single-threaded non-blocking request loop runs every phase. By default
+//! it is a closed loop: `--concurrency` connections, each keeping
+//! `--window` requests in flight. `--conns N --rate R` makes it an open
+//! loop: one global fixed-rate schedule, round-robin over N
+//! connections, with rtt timed from the scheduled send. `--saturation`
+//! appends a latency-under-load sweep of open-loop rates over `--conns`
+//! connections. `--policy-compare` needs a server started with
+//! `--policy FILE`; `--grid` aligns the request mix to that table's
+//! cell centres so the `table`, `cache` and `no-cache` phases solve
+//! bit-identical parameters. `--min-speedup` / `--min-table-speedup`
+//! gate the server-side decide p50 of `no-cache` over `cache` /
+//! `table`. Latency is printed as `rtt` (admission-to-response,
+//! pipeline queueing included) and `svc` (the in-order service
+//! decomposition, comparable to the server-side histogram); each phase
+//! line ends with the FNV-1a digest of its `d_star` stream.
+//! `--fleet-trace FILE` replays a recorded fleet request stream
+//! (`repro --export-fleet-trace` JSONL) instead of the random mix and
+//! prints its inter-arrival statistics; with `--compare
+//! --expect-identical` the replayed `d_star` streams are gated bitwise
+//! across phases. Exit codes: 0 success, 1 a `--check` gate failed or
+//! the server was unreachable, 2 bad arguments.
 
 use skyferry_serve::loadgen::{parse_args, run, LoadgenError};
 
 const USAGE: &str = "usage: skyferry-loadgen --addr HOST:PORT [--requests N] \
-[--concurrency N] [--window N] [--rate RPS] [--conns N] [--saturation R1,R2,...] \
-[--codec ndjson|bin1] [--seed N] [--pool N] [--unique-frac F] \
-[--grid quick|full] [--fleet-trace FILE] [--compare] [--policy-compare] \
-[--miss-heavy] [--min-speedup X] [--min-table-speedup X] [--expect-identical] \
-[--check] [--out FILE] [--shutdown-after]";
+[--concurrency N] [--window N] [--conns N [--rate RPS]] [--saturation R1,R2,...] \
+[--codec ndjson|bin1] [--grid quick|full] [--fleet-trace FILE] [--compare] \
+[--policy-compare] [--miss-heavy] [--min-speedup X] [--min-table-speedup X] \
+[--expect-identical] [--check] [--out FILE] [--shutdown-after]";
 
 fn main() {
     let cfg = match parse_args(std::env::args().skip(1)) {
@@ -50,7 +54,7 @@ fn main() {
             for p in &report.phases {
                 println!(
                     "{:<13} {:>8.0} req/s   rtt p50 {:>8.1} us  p99 {:>8.1} us   \
-                     svc p50 {:>7.1} us  p99 {:>7.1} us   hits {}   errors {}",
+                     svc p50 {:>7.1} us  p99 {:>7.1} us   hits {}   errors {}   d* {}",
                     p.label,
                     p.throughput_rps,
                     p.rtt.p50_us,
@@ -59,6 +63,7 @@ fn main() {
                     p.service.p99_us,
                     p.cache_hits,
                     p.protocol_errors,
+                    p.d_star_digest(),
                 );
             }
             for s in &report.saturation {
@@ -73,14 +78,16 @@ fn main() {
                     s.protocol_errors,
                 );
             }
+            // Ratios of the server-side decide p50, from each phase's
+            // `stats` snapshot.
             if let Some(s) = report.speedup {
-                println!("cache speedup: {s:.2}x");
+                println!("cache speedup (decide p50, no-cache / cache): {s:.2}x");
             }
             if let Some(s) = report.speedup_miss {
                 println!("cache speedup (miss-heavy): {s:.2}x");
             }
             if let Some(s) = report.table_speedup {
-                println!("table speedup: {s:.2}x");
+                println!("table speedup (decide p50, no-cache / table): {s:.2}x");
             }
             if let Some(s) = report.table_speedup_miss {
                 println!("table speedup (miss-heavy): {s:.2}x");

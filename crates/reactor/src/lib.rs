@@ -1,6 +1,6 @@
 //! # skyferry-reactor
 //!
-//! A minimal readiness reactor over `poll(2)` — the multiplexing core
+//! A minimal readiness reactor over `ppoll(2)` — the multiplexing core
 //! of the sharded `skyferryd` event loops and the many-connection load
 //! generator. Vendored for the same reason `crates/bufs` exists: the
 //! workspace builds offline with zero external dependencies, so the
@@ -21,14 +21,18 @@
 //!   shutdown and cross-shard completions interrupt a blocked loop.
 //!
 //! This crate is the one place in the workspace allowed to contain
-//! `unsafe`: a single FFI declaration of `poll` and its `repr(C)`
-//! argument struct, both annotated with the invariants they uphold.
+//! `unsafe`: a single FFI declaration of `ppoll` and its `repr(C)`
+//! argument structs, all annotated with the invariants they uphold.
 //! Everything above the syscall boundary is safe Rust over
-//! `std::os::fd` types.
+//! `std::os::fd` types. It is `ppoll` rather than `poll` because the
+//! timeout is a nanosecond `timespec`: `poll`'s millisecond timeout
+//! rounds a 100 µs wait up to a whole millisecond, which turns a
+//! fixed-rate send schedule into bursts.
 
 use std::io;
 use std::os::fd::RawFd;
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// Opaque per-registration identifier, echoed back on every [`Event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -71,7 +75,7 @@ pub struct Event {
     pub hangup: bool,
 }
 
-// `poll(2)` constants, straight from poll.h on every Unix this
+// `poll(2)`/`ppoll(2)` constants, straight from poll.h on every Unix this
 // workspace targets.
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
@@ -79,7 +83,7 @@ const POLLERR: i16 = 0x008;
 const POLLHUP: i16 = 0x010;
 const POLLNVAL: i16 = 0x020;
 
-/// The `struct pollfd` of `poll(2)`.
+/// The `struct pollfd` of `ppoll(2)`.
 ///
 /// SAFETY: the layout (`int fd; short events; short revents;`) is fixed
 /// by POSIX and `repr(C)` pins the Rust side to it; the kernel only
@@ -92,11 +96,31 @@ struct PollFd {
     revents: i16,
 }
 
+/// The `struct timespec` of `ppoll(2)`.
+///
+/// SAFETY: `time_t tv_sec; long tv_nsec;` — both 64-bit on the 64-bit
+/// linux targets this workspace builds for; `repr(C)` pins the layout
+/// and the kernel only reads it.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
 extern "C" {
-    // SAFETY: the canonical POSIX prototype — `int poll(struct pollfd
-    // *fds, nfds_t nfds, int timeout)` with `nfds_t` an unsigned long
-    // on linux; libc is already linked by std.
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    // SAFETY: the glibc prototype — `int ppoll(struct pollfd *fds,
+    // nfds_t nfds, const struct timespec *tmo_p, const sigset_t
+    // *sigmask)` with `nfds_t` an unsigned long on linux. A null
+    // `tmo_p` blocks indefinitely; a null `sigmask` leaves the signal
+    // mask alone, which makes it `poll` with a finer timeout. libc is
+    // already linked by std.
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: u64,
+        tmo_p: *const Timespec,
+        sigmask: *const std::ffi::c_void,
+    ) -> i32;
 }
 
 /// Level-triggered readiness over a set of registered fds.
@@ -156,23 +180,42 @@ impl Poller {
         }
     }
 
-    /// Block until at least one registered fd is ready (or `timeout_ms`
-    /// elapses; `None` blocks indefinitely), then collect every ready
-    /// fd's verdict into `events` (cleared first). Returns the number
-    /// of events delivered; `0` means the timeout fired. `EINTR`
-    /// retries internally.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: Option<i32>) -> io::Result<usize> {
+    /// Block until at least one registered fd is ready (or `timeout`
+    /// elapses, to the nanosecond; `None` blocks indefinitely), then
+    /// collect every ready fd's verdict into `events` (cleared first).
+    /// Returns the number of events delivered; `0` means the timeout
+    /// fired. `EINTR` retries internally.
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         events.clear();
         if self.fds.is_empty() {
-            // poll(NULL, 0, t) is a sleep; model it without the syscall.
+            // ppoll(NULL, 0, t) is a sleep; model it without the syscall.
             return Ok(0);
         }
-        let timeout = timeout_ms.unwrap_or(-1);
+        let timespec = timeout.map(|d| Timespec {
+            tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: i64::from(d.subsec_nanos()),
+        });
+        let tmo_p = timespec
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const Timespec);
         loop {
+            // `tmo_p` is null or points at `timespec`, alive on this
+            // frame for the whole call.
             // SAFETY: `fds` is a live, exclusively-borrowed Vec of
             // `repr(C)` PollFd; the pointer/length pair is exactly its
-            // initialized contents, and poll only writes `revents`.
-            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as u64, timeout) };
+            // initialized contents, and ppoll only writes `revents`.
+            let n = unsafe {
+                ppoll(
+                    self.fds.as_mut_ptr(),
+                    self.fds.len() as u64,
+                    tmo_p,
+                    std::ptr::null(),
+                )
+            };
             if n < 0 {
                 let e = io::Error::last_os_error();
                 if e.kind() == io::ErrorKind::Interrupted {
@@ -302,11 +345,15 @@ mod tests {
         poller.register(client.as_raw_fd(), Token(7), Interest::READ);
         let mut events = Vec::new();
 
-        let n = poller.wait(&mut events, Some(0)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("poll");
         assert_eq!(n, 0, "no bytes yet");
 
         server.write_all(b"ping").expect("write");
-        let n = poller.wait(&mut events, Some(1000)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .expect("poll");
         assert_eq!(n, 1);
         assert_eq!(events[0].token, Token(7));
         assert!(events[0].readable);
@@ -316,8 +363,37 @@ mod tests {
         let got = (&client).read(&mut buf).expect("read");
         assert_eq!(&buf[..got], b"ping");
         // Level-triggered: drained fd goes quiet again.
-        let n = poller.wait(&mut events, Some(0)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("poll");
         assert_eq!(n, 0);
+    }
+
+    // A sub-millisecond timeout must not round up to poll(2)'s 1 ms
+    // granularity. Best of five, so one scheduler hiccup on a loaded
+    // host cannot fail it; every try would take ≥ 1 ms under poll(2).
+    #[test]
+    fn sub_millisecond_timeout_is_honoured() {
+        let (client, _server) = tcp_pair();
+        let mut poller = Poller::new();
+        poller.register(client.as_raw_fd(), Token(0), Interest::READ);
+        let mut events = Vec::new();
+        let best = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now(); // lint:allow-line(wall-clock): times a real kernel timeout
+                let n = poller
+                    .wait(&mut events, Some(Duration::from_micros(200)))
+                    .expect("poll");
+                assert_eq!(n, 0, "nothing to read: the timeout fires");
+                t.elapsed()
+            })
+            .min()
+            .expect("five tries");
+        assert!(
+            best >= Duration::from_micros(200),
+            "returned early: {best:?}"
+        );
+        assert!(best < Duration::from_micros(700), "rounded up: {best:?}");
     }
 
     #[test]
@@ -326,18 +402,30 @@ mod tests {
         let mut poller = Poller::new();
         poller.register(client.as_raw_fd(), Token(1), Interest::READ);
         let mut events = Vec::new();
-        assert_eq!(poller.wait(&mut events, Some(0)).expect("poll"), 0);
+        assert_eq!(
+            poller
+                .wait(&mut events, Some(Duration::ZERO))
+                .expect("poll"),
+            0
+        );
 
         // An empty socket buffer is immediately writable.
         poller.modify(Token(1), Interest::READ_WRITE);
-        let n = poller.wait(&mut events, Some(1000)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .expect("poll");
         assert_eq!(n, 1);
         assert!(events[0].writable);
         assert!(!events[0].readable);
 
         poller.deregister(Token(1));
         assert!(poller.is_empty());
-        assert_eq!(poller.wait(&mut events, Some(0)).expect("poll"), 0);
+        assert_eq!(
+            poller
+                .wait(&mut events, Some(Duration::ZERO))
+                .expect("poll"),
+            0
+        );
     }
 
     #[test]
@@ -347,7 +435,9 @@ mod tests {
         poller.register(client.as_raw_fd(), Token(3), Interest::READ);
         drop(server);
         let mut events = Vec::new();
-        let n = poller.wait(&mut events, Some(1000)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .expect("poll");
         assert_eq!(n, 1);
         // Linux reports EOF as POLLIN (read returns 0) and usually also
         // POLLHUP for TCP; either way the loop must see *something*.
@@ -363,14 +453,18 @@ mod tests {
         let remote = waker.clone();
         let t = std::thread::spawn(move || remote.wake());
         let mut events = Vec::new();
-        let n = poller.wait(&mut events, Some(5000)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("poll");
         t.join().expect("waker thread");
         assert_eq!(n, 1);
         assert_eq!(events[0].token, Token(0));
         assert!(events[0].readable);
 
         receiver.drain();
-        let n = poller.wait(&mut events, Some(0)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("poll");
         assert_eq!(n, 0, "drained waker goes quiet");
     }
 
@@ -384,9 +478,19 @@ mod tests {
         let mut poller = Poller::new();
         poller.register(receiver.fd(), Token(0), Interest::READ);
         let mut events = Vec::new();
-        assert_eq!(poller.wait(&mut events, Some(1000)).expect("poll"), 1);
+        assert_eq!(
+            poller
+                .wait(&mut events, Some(Duration::from_secs(1)))
+                .expect("poll"),
+            1
+        );
         receiver.drain();
-        assert_eq!(poller.wait(&mut events, Some(0)).expect("poll"), 0);
+        assert_eq!(
+            poller
+                .wait(&mut events, Some(Duration::ZERO))
+                .expect("poll"),
+            0
+        );
     }
 
     #[test]
@@ -398,11 +502,15 @@ mod tests {
         poller.register(c2.as_raw_fd(), Token(20), Interest::READ);
         s2.write_all(b"x").expect("write");
         let mut events = Vec::new();
-        let n = poller.wait(&mut events, Some(1000)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .expect("poll");
         assert_eq!(n, 1);
         assert_eq!(events[0].token, Token(20));
         s1.write_all(b"y").expect("write");
-        let n = poller.wait(&mut events, Some(1000)).expect("poll");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .expect("poll");
         assert_eq!(n, 2, "both ready, registration order preserved");
         assert_eq!(events[0].token, Token(10));
         assert_eq!(events[1].token, Token(20));

@@ -40,10 +40,12 @@
 //! * [`server`] — the TCP front end: one accept thread dealing
 //!   connections to the shard loops round-robin, graceful
 //!   ack-then-drain shutdown on a control message;
-//! * [`loadgen`] — closed-loop, open-loop (fixed-rate) and
-//!   many-connection open-loop (reactor-multiplexed `--conns`)
-//!   workload driver with a seeded `DetRng` request mix,
-//!   cache/table/no-cache comparison, rtt/service/connect latency
+//! * [`loadgen`] — one single-threaded, non-blocking request loop
+//!   over the reactor: closed loop (a pipelining window per
+//!   connection) or open loop (one fixed-rate schedule round-robin
+//!   over `--conns` connections), with a seeded `DetRng` request mix,
+//!   cache/table/no-cache comparison gated on the server-side decide
+//!   p50, a per-phase `d_star` digest, rtt/service/connect latency
 //!   decomposition, `--saturation` latency-under-load sweeps, and
 //!   `BENCH_serve.json` output.
 //!

@@ -1,83 +1,71 @@
 //! The load generator behind `skyferry-loadgen`.
 //!
 //! Drives a running `skyferryd` with a seeded, reproducible request mix
-//! and measures it from the client side:
+//! and measures it from the client side. One single-threaded,
+//! non-blocking request loop runs every phase: it takes the phase's requests
+//! as one flat list and multiplexes its connections on one
+//! [`skyferry_reactor`] event loop, in one of two modes:
 //!
-//! * **closed-loop** (default): `concurrency` connections, each keeping
-//!   `window` requests in flight (pipelined — an initial burst, then
-//!   read-one-send-one), so throughput is bounded by the server, not by
-//!   round trips;
-//! * **open-loop** (`--rate R`): requests are launched on a fixed
-//!   schedule split across the connections, so latency includes queue
-//!   buildup when the server cannot keep up;
-//! * **many-connection open-loop** (`--conns N --rate R`): one reactor
-//!   ([`skyferry_reactor`]) event loop multiplexes N mostly-idle
-//!   connections — the fleet-of-UAVs shape — and requests fire on a
-//!   single global schedule round-robin across them. The same engine
-//!   drives `--saturation R1,R2,...`, which sweeps offered load and
-//!   records a latency-under-load curve in the report.
+//! * **closed loop** (default): `--concurrency N` connections, each
+//!   owning one contiguous share of the list and keeping up to
+//!   `--window` requests of it in flight, so throughput is bounded by
+//!   the server, not by round trips;
+//! * **open loop** (`--conns N --rate R`): requests go out on one
+//!   global fixed-rate schedule, round-robin across N mostly-idle
+//!   connections (the fleet-of-UAVs shape), and the schedule never
+//!   stretches when the server falls behind. `--saturation R1,R2,...`
+//!   sweeps the offered rate and records a latency-under-load curve.
+//!
+//! Replies are stored by each request's position in the list, so a
+//! phase's `d_star` stream does not depend on which connection answered
+//! first; every phase reports its FNV-1a digest, and equal digests
+//! across runs (shard counts, codecs) prove bit-identical answers.
 //!
 //! Latency is reported three ways, because a pipelined client's raw
 //! round trip is *not* comparable to the server's per-request service
-//! time (that mismatch — ~4.2 ms client p50 vs ~29 µs server p50 — is
-//! pure client-side pipeline queueing, not server work):
+//! time (~4.2 ms client p50 vs ~29 µs server p50 was pure client-side
+//! pipeline queueing):
 //!
-//! * **rtt**: send (open loop: *scheduled* send, so coordinated
-//!   omission is not hidden) to response — what a caller experiences,
-//!   including time queued behind the rest of the pipeline window;
+//! * **rtt**: admission to response — in open loop from the
+//!   *scheduled* send, so coordinated omission is not hidden;
 //! * **service**: the in-order decomposition
 //!   `service_i = T_i − max(sent_i, T_{i−1})` (T = response arrival on
-//!   the same connection) — the interval the server alone contributes
-//!   to response `i`, directly comparable to the server-side histogram;
-//! * **connect**: TCP connection setup, separated out instead of
-//!   polluting the first request's latency.
+//!   the same connection), comparable to the server-side histogram;
+//! * **connect**: TCP setup, kept out of the request latencies.
 //!
-//! The mix comes from a `DetRng` stream: a `pool` of distinct parameter
-//! tuples is drawn once, then each request either repeats a pool entry
-//! or (with probability `unique_frac`) draws fresh parameters. The same
-//! seed therefore replays byte-identical request lines — which is what
-//! makes `--compare` meaningful: phase 1 runs with the decision cache
-//! enabled, phase 2 disables it (`cache`/`reset` control requests),
-//! same workload, and the report carries the throughput ratio plus a
-//! per-request `d_star` comparison (bit-exact when the server runs in
-//! exactness mode).
-//!
-//! `--codec bin1` negotiates the length-prefixed binary codec on every
-//! measured connection before the clock starts; decide requests then
+//! The mix comes from `DetRng` streams under a fixed seed: every
+//! request repeats one of 64 pool tuples drawn once. Closed loop draws
+//! one stream per connection, joined in connection order; open loop
+//! and the sweep draw one. The same flags therefore replay
+//! byte-identical request lines, which is what makes `--compare`
+//! meaningful: the cache is on for phase 1 and off for phase 2
+//! (`cache`/`reset` control requests), and the report carries the
+//! server-side decide p50 ratio (from the `stats` snapshot each phase
+//! embeds) plus a per-request `d_star` comparison (bit-exact against
+//! a server in exactness mode). `--codec bin1` negotiates the binary
+//! codec on every connection before the clock starts; decides then
 //! travel as raw `f64` bits, so `--expect-identical` holds across
 //! codecs too.
 //!
-//! Two extensions exercise the paths a warm 64-key pool never touches:
+//! * `--miss-heavy` repeats every phase with a workload that draws
+//!   every request fresh, reported as `<label>-miss`;
+//! * `--policy-compare` (against `skyferryd --policy`) runs `table`,
+//!   `cache` and `no-cache` phases and reports `table_speedup`;
+//! * `--grid quick|full` draws requests *on* the compiled grid's cell
+//!   centres, so all three phases solve bit-identical parameters;
+//! * `--fleet-trace FILE` replays a recorded fleet request stream
+//!   (`repro --export-fleet-trace` JSONL) in arrival order instead of
+//!   the random mix, so a generic `skyferryd` solves exactly the d\*
+//!   the fleet campaign computed; the report gains the stream's
+//!   inter-arrival statistics (p50/p95 gap, burstiness = the gaps'
+//!   coefficient of variation — ~0 uniform, >1 for bursty waves).
 //!
-//! * `--miss-heavy` repeats every phase with a second, fully unique
-//!   workload (`unique_frac = 1`), reported as `<label>-miss` — the
-//!   uncached-optimizer floor and the table path under realistic churn;
-//! * `--policy-compare` (against a `skyferryd --policy` server) runs
-//!   three phases — `table` (policy on), `cache` (policy off, cache
-//!   on), `no-cache` (both off) — and reports `table_speedup`;
-//! * `--grid quick|full` draws requests *on* the compiled policy grid's
-//!   cell centres, so table, cache and exact phases all solve
-//!   bit-identical parameters and the `d_star` streams can be compared
-//!   bitwise across all three.
-//!
-//! `--fleet-trace FILE` replaces the random mix with a recorded fleet
-//! request stream (`repro --export-fleet-trace` JSONL): each line's
-//! contended-equivalent `(platform, d0, mdata, rho, speed)` tuple is
-//! replayed in arrival order, so a generic `skyferryd` solves exactly
-//! the d\* the fleet campaign computed. The report gains the stream's
-//! inter-arrival statistics (p50/p95 gap, burstiness = the gaps'
-//! coefficient of variation — ~0 for a uniform schedule, >1 for the
-//! fleet's bursty waves), and `--compare --expect-identical` gates the
-//! replayed d\* streams bitwise across phases exactly as for the
-//! uniform-pool workload.
-//!
-//! Client-side percentiles use the exact `stats::quantile` over the raw
-//! latency samples; the report also embeds the server's own `STATS`
-//! snapshot, and everything lands in `BENCH_serve.json` /
-//! `BENCH_policy.json`.
+//! Client-side percentiles are exact (`stats::quantile` over the raw
+//! samples); the report also embeds the server's own `STATS` snapshot
+//! and lands in `BENCH_serve.json` / `BENCH_policy.json`.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
@@ -85,7 +73,6 @@ use std::time::Duration;
 
 use bytes::{BufMut, BytesMut};
 use skyferry_core::policy::PolicyGrid;
-use skyferry_core::request::DecisionParams;
 use skyferry_reactor::{Event, Interest, Poller, Token};
 use skyferry_sim::rng::{DetRng, SeedStream};
 use skyferry_stats::json::{self, Json};
@@ -94,6 +81,11 @@ use skyferry_trace::clock::monotonic_ns;
 
 use crate::framing::{self, BinResponse, Codec, Frame, FrameDecoder, FrameError};
 use crate::proto::{self, Request};
+
+/// Seed of every workload's `DetRng` streams.
+const SEED: u64 = 0x5AFE_5EED;
+/// Distinct parameter tuples in the warm workload's repeated pool.
+const POOL: usize = 64;
 
 /// Which compiled-policy grid the workload should align to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,16 +104,23 @@ impl GridMode {
             GridMode::Full => PolicyGrid::full(),
         }
     }
+
+    /// The `--grid` value naming this mode.
+    fn name(self) -> &'static str {
+        match self {
+            GridMode::Quick => "quick",
+            GridMode::Full => "full",
+        }
+    }
 }
 
 impl std::str::FromStr for GridMode {
     type Err = String;
     fn from_str(s: &str) -> Result<GridMode, String> {
-        match s {
-            "quick" => Ok(GridMode::Quick),
-            "full" => Ok(GridMode::Full),
-            other => Err(format!("unknown grid '{other}' (quick|full)")),
-        }
+        [GridMode::Quick, GridMode::Full]
+            .into_iter()
+            .find(|g| g.name() == s)
+            .ok_or_else(|| format!("unknown grid '{s}' (quick|full)"))
     }
 }
 
@@ -132,31 +131,20 @@ pub struct LoadgenConfig {
     pub addr: String,
     /// Total requests per phase.
     pub requests: usize,
-    /// Concurrent connections (closed-loop / split-rate mode).
+    /// Closed-loop connections, one workload stream each.
     pub concurrency: usize,
-    /// Pipelining window per connection (closed loop) / outstanding cap
-    /// (open loop).
+    /// Closed-loop pipelining window per connection.
     pub window: usize,
-    /// Open-loop request rate in req/s; `None` = closed loop. With
-    /// `conns > 0` the rate is a single global schedule over the
-    /// reactor-multiplexed connections, otherwise it is split across
-    /// `concurrency` threads.
+    /// Open-loop request rate in req/s over `conns` connections (one
+    /// global schedule); `None` = closed loop.
     pub rate: Option<f64>,
-    /// Reactor-multiplexed connections for the many-connection open
-    /// loop; `0` keeps the thread-per-connection driver.
+    /// Connections of the open loop and of the saturation sweep.
     pub conns: usize,
     /// Offered-load sweep (req/s points) appended to the report as a
     /// latency-under-load saturation curve.
     pub saturation: Vec<f64>,
     /// Wire codec every measured connection negotiates up front.
     pub codec: Codec,
-    /// Workload seed.
-    pub seed: u64,
-    /// Distinct parameter tuples in the repeated pool.
-    pub pool: usize,
-    /// Probability a request draws fresh parameters instead of reusing
-    /// the pool.
-    pub unique_frac: f64,
     /// Align the request mix to a compiled policy grid's cell centres.
     pub grid: Option<GridMode>,
     /// Replay a recorded fleet request stream (`repro
@@ -167,14 +155,14 @@ pub struct LoadgenConfig {
     /// Run `table` / `cache` / `no-cache` phases against a server with a
     /// compiled policy table (implies the `policy` control toggles).
     pub policy_compare: bool,
-    /// Repeat every phase with a fully unique (`unique_frac = 1`)
-    /// workload, reported as `<label>-miss`.
+    /// Repeat every phase with a workload that draws every request
+    /// fresh, reported as `<label>-miss`.
     pub miss_heavy: bool,
-    /// With `--check`: fail unless cached/uncached throughput ratio
-    /// reaches this.
+    /// With `--check`: fail unless the server-side decide p50 of the
+    /// `no-cache` phase over that of the `cache` phase reaches this.
     pub min_speedup: Option<f64>,
-    /// With `--check`: fail unless table/uncached throughput ratio
-    /// (miss-heavy variant when present) reaches this.
+    /// With `--check`: fail unless the decide p50 of `no-cache` over
+    /// `table` (the `-miss` pair when present) reaches this.
     pub min_table_speedup: Option<f64>,
     /// With `--compare`: require bit-identical `d_star` streams across
     /// phases (valid against a server in exactness mode).
@@ -199,9 +187,6 @@ impl Default for LoadgenConfig {
             conns: 0,
             saturation: Vec::new(),
             codec: Codec::Ndjson,
-            seed: 0x5AFE_5EED,
-            pool: 64,
-            unique_frac: 0.0,
             grid: None,
             fleet_trace: None,
             compare: false,
@@ -284,40 +269,41 @@ fn random_request_line(rng: &mut DetRng, grid: Option<&PolicyGrid>) -> String {
     .render()
 }
 
-/// The per-connection request streams for one run: `lines[t]` is
-/// connection `t`'s exact byte sequence. Pure function of the config,
-/// so a second phase replays the identical workload.
-pub fn build_workload(cfg: &LoadgenConfig) -> Vec<Vec<String>> {
-    build_workload_unique(cfg, cfg.unique_frac)
+/// Connection `t`'s share of `n` requests split over `parts`: the
+/// balanced contiguous split the closed-loop workload streams and the
+/// request loop's per-connection slices both use.
+fn share(n: usize, parts: usize, t: usize) -> usize {
+    n / parts + usize::from(t < n % parts)
 }
 
-/// Same streams with `unique_frac` overridden — the miss-heavy phases
-/// replay the identical RNG schedule over a fully fresh mix.
-fn build_workload_unique(cfg: &LoadgenConfig, unique_frac: f64) -> Vec<Vec<String>> {
+/// One phase's request lines as a flat list: `streams` seeded `DetRng`
+/// streams, each drawing its [`share`] of `cfg.requests`, joined in
+/// stream order. A pure function of its arguments, so a second phase
+/// replays the identical workload. `miss` draws every request fresh
+/// instead of repeating the pool (the same RNG schedule, so the
+/// `-miss` phases keep the warm phases' per-connection split).
+pub fn build_workload(cfg: &LoadgenConfig, streams: usize, miss: bool) -> Vec<String> {
     let grid = cfg.grid.map(|g| g.grid());
     let grid = grid.as_ref();
-    let stream = SeedStream::new(cfg.seed);
-    let mut pool_rng = stream.rng("loadgen-pool");
-    let pool: Vec<String> = (0..cfg.pool.max(1))
+    let seeds = SeedStream::new(SEED);
+    let mut pool_rng = seeds.rng("loadgen-pool");
+    let pool: Vec<String> = (0..POOL)
         .map(|_| random_request_line(&mut pool_rng, grid))
         .collect();
-
-    let threads = cfg.concurrency.max(1);
-    (0..threads)
-        .map(|t| {
-            let mut rng = stream.rng_indexed("loadgen-mix", t as u64);
-            let share = cfg.requests / threads + usize::from(t < cfg.requests % threads);
-            (0..share)
-                .map(|_| {
-                    if rng.chance(unique_frac) {
-                        random_request_line(&mut rng, grid)
-                    } else {
-                        pool[rng.index(pool.len())].clone()
-                    }
-                })
-                .collect()
-        })
-        .collect()
+    let unique_frac = if miss { 1.0 } else { 0.0 };
+    let streams = streams.max(1);
+    let mut lines = Vec::with_capacity(cfg.requests);
+    for t in 0..streams {
+        let mut rng = seeds.rng_indexed("loadgen-mix", t as u64);
+        for _ in 0..share(cfg.requests, streams, t) {
+            lines.push(if rng.chance(unique_frac) {
+                random_request_line(&mut rng, grid)
+            } else {
+                pool[rng.index(pool.len())].clone()
+            });
+        }
+    }
+    lines
 }
 
 /// A parsed fleet trace: decide-request lines in arrival order plus the
@@ -427,22 +413,6 @@ impl TraceStats {
     }
 }
 
-/// Split a global request stream into per-connection slices, preserving
-/// order within each slice (the same contiguous split
-/// [`build_workload`] uses for its per-thread shares).
-fn split_stream(lines: &[String], threads: usize) -> Vec<Vec<String>> {
-    let threads = threads.max(1);
-    let mut rest = lines;
-    (0..threads)
-        .map(|t| {
-            let share = lines.len() / threads + usize::from(t < lines.len() % threads);
-            let (head, tail) = rest.split_at(share);
-            rest = tail;
-            head.to_vec()
-        })
-        .collect()
-}
-
 /// Per-kind tally of `{"error": ...}` responses, keyed by the closed
 /// set of wire tags in [`crate::proto::ErrorKind`]. An undifferentiated
 /// error count hides whether a run tripped over its own request
@@ -469,6 +439,11 @@ impl ErrorTally {
             Some("shutting-down") => self.shutting_down += 1,
             _ => self.unknown += 1,
         }
+    }
+
+    /// Error responses of every kind.
+    pub fn total(&self) -> u64 {
+        self.bad_request + self.overloaded + self.shutting_down + self.unknown
     }
 
     fn merge(&mut self, other: &ErrorTally) {
@@ -547,96 +522,45 @@ fn split_latency(now_ns: u64, sent_ns: u64, prev_done_ns: u64) -> (f64, f64) {
     (rtt, service)
 }
 
-/// What a response frame means to the measurement loop.
-enum Reply {
-    /// A solved decision.
-    Decision { d_star: f64, cache_hit: bool },
-    /// A typed `{"error": ...}` response (wire tag attached).
-    ErrorTag(Option<String>),
-}
-
-/// Interpret one response frame from either codec.
-fn classify_frame(frame: Frame) -> Result<Reply, LoadgenError> {
-    let line = match frame {
-        Frame::Bin(payload) => match framing::decode_response_frame(&payload)? {
-            BinResponse::Decision(d) => {
-                return Ok(Reply::Decision {
-                    d_star: d.d_star,
-                    cache_hit: d.cache_hit,
-                })
-            }
-            BinResponse::Json(line) => line,
-        },
-        Frame::Line(line) => line,
-    };
-    let value = json::parse(line.trim())
-        .map_err(|e| LoadgenError::Protocol(format!("unparsable response: {e}")))?;
-    if let Some(err) = value.get("error") {
-        return Ok(Reply::ErrorTag(err.as_str().map(str::to_string)));
-    }
-    let d_star = value
-        .get("d_star")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| LoadgenError::Protocol("response lacks d_star".into()))?;
-    Ok(Reply::Decision {
-        d_star,
-        cache_hit: value.get("cache_hit").and_then(Json::as_bool) == Some(true),
-    })
-}
-
-/// Pull the next frame off a blocking stream, reading as needed.
-fn read_frame_blocking(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-) -> Result<Frame, LoadgenError> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if let Some(frame) = decoder.next_frame()? {
-            return Ok(frame);
-        }
+/// Send one NDJSON request line on a blocking stream and read its
+/// one-line reply. Nothing else is in flight on the stream, so every
+/// byte read belongs to that reply. An `{"error": ...}` answer (e.g. a
+/// `policy` toggle against a server with no table loaded, or a codec
+/// the server does not know) aborts the run instead of silently
+/// measuring the wrong path.
+fn exchange(stream: &mut TcpStream, line: &str) -> Result<Json, LoadgenError> {
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 4096];
+    while !reply.ends_with(b"\n") {
         let n = stream.read(&mut buf)?;
         if n == 0 {
-            return Err(LoadgenError::Protocol(
-                "server closed the connection mid-stream".into(),
-            ));
+            return Err(LoadgenError::Protocol(format!(
+                "server closed the connection before answering {line}"
+            )));
         }
-        decoder.extend_from_slice(&buf[..n]);
+        reply.extend_from_slice(&buf[..n]);
     }
-}
-
-/// Negotiate `codec` on a fresh connection (no-op for NDJSON). The ack
-/// arrives in the old codec; only after it is checked does the decoder
-/// switch, mirroring the server's parse-time seam.
-fn negotiate_codec(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-    codec: Codec,
-) -> Result<(), LoadgenError> {
-    if codec == Codec::Ndjson {
-        return Ok(());
-    }
-    let line = format!("{{\"cmd\":\"codec\",\"v\":\"{}\"}}\n", codec.wire_name());
-    stream.write_all(line.as_bytes())?;
-    let Frame::Line(ack) = read_frame_blocking(stream, decoder)? else {
-        return Err(LoadgenError::Protocol(
-            "codec ack arrived in the new codec".into(),
-        ));
-    };
-    let value = json::parse(ack.trim())
-        .map_err(|e| LoadgenError::Protocol(format!("unparsable codec ack: {e}")))?;
+    let value = json::parse(String::from_utf8_lossy(&reply).trim())
+        .map_err(|e| LoadgenError::Protocol(format!("unparsable reply to {line}: {e}")))?;
     if let Some(err) = value.get("error") {
         return Err(LoadgenError::Protocol(format!(
-            "codec {} rejected: {}",
-            codec.wire_name(),
+            "{line} rejected: {}",
             err.render()
         )));
     }
-    decoder.set_codec(codec);
-    Ok(())
+    Ok(value)
+}
+
+/// One control request over its own throwaway connection.
+fn control(addr: &str, line: &str) -> Result<Json, LoadgenError> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    exchange(&mut stream, line)
 }
 
 /// Encode one workload line in the negotiated codec. NDJSON sends the
-/// line verbatim; `bin1` re-parses it into [`DecisionParams`] and ships
+/// line verbatim; `bin1` re-parses it into decision parameters and ships
 /// the raw `f64` bits, so both codecs solve bit-identical parameters.
 fn encode_request(line: &str, codec: Codec, out: &mut BytesMut) -> Result<(), LoadgenError> {
     match codec {
@@ -644,146 +568,73 @@ fn encode_request(line: &str, codec: Codec, out: &mut BytesMut) -> Result<(), Lo
             out.put_slice(line.as_bytes());
             out.put_u8(b'\n');
         }
-        Codec::Bin1 => {
-            let params = workload_params(line)?;
-            framing::encode_decide_frame(&params, out);
-        }
+        Codec::Bin1 => match proto::parse_request(line) {
+            Ok(Request::Decide(p)) => framing::encode_decide_frame(&p, out),
+            _ => {
+                return Err(LoadgenError::Protocol(format!(
+                    "workload line is not a decide request: {line}"
+                )))
+            }
+        },
     }
     Ok(())
 }
 
-fn workload_params(line: &str) -> Result<DecisionParams, LoadgenError> {
-    match proto::parse_request(line) {
-        Ok(Request::Decide(p)) => Ok(p),
-        _ => Err(LoadgenError::Protocol(format!(
-            "workload line is not a decide request: {line}"
-        ))),
-    }
-}
-
-/// What one connection measured.
-#[derive(Debug, Default, Clone)]
-struct ThreadResult {
-    rtt_us: Vec<f64>,
-    service_us: Vec<f64>,
-    connect_us: Vec<f64>,
-    d_stars: Vec<f64>,
-    cache_hits: u64,
-    protocol_errors: u64,
-    error_tally: ErrorTally,
-}
-
-impl ThreadResult {
-    fn record_reply(&mut self, reply: Reply) {
-        match reply {
-            Reply::Decision { d_star, cache_hit } => {
-                self.d_stars.push(d_star);
-                if cache_hit {
-                    self.cache_hits += 1;
-                }
-            }
-            Reply::ErrorTag(tag) => {
-                self.protocol_errors += 1;
-                self.error_tally.record(tag.as_deref());
-                self.d_stars.push(f64::NAN);
-            }
-        }
-    }
-}
-
-/// Drive one connection through its request lines.
-fn drive_connection(
-    addr: &str,
-    lines: &[String],
-    window: usize,
-    rate_per_conn: Option<f64>,
-    codec: Codec,
-) -> Result<ThreadResult, LoadgenError> {
-    let mut result = ThreadResult::default();
-    if lines.is_empty() {
-        return Ok(result);
-    }
-    let t_conn_ns = monotonic_ns();
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    result
-        .connect_us
-        .push(monotonic_ns().saturating_sub(t_conn_ns) as f64 / 1e3);
-    let mut decoder = FrameDecoder::new();
-    negotiate_codec(&mut stream, &mut decoder, codec)?;
-
-    let window = window.max(1);
-    let mut send_times: VecDeque<u64> = VecDeque::with_capacity(window);
-    let mut sent = 0usize;
-    let mut done = 0usize;
-    let mut prev_done_ns = 0u64;
-    let started_ns = monotonic_ns();
-    let due_ns = |i: usize, rate: f64| started_ns + (i as f64 / rate * 1e9) as u64;
-
-    while done < lines.len() {
-        // Send while the window allows (and, open loop, the schedule
-        // says the next request is due).
-        let mut burst = BytesMut::new();
-        let mut burst_n = 0usize;
-        while sent < lines.len() && sent - done < window {
-            if let Some(rate) = rate_per_conn {
-                let due_ns = due_ns(sent, rate);
-                let now_ns = monotonic_ns();
-                if now_ns < due_ns {
-                    if burst_n == 0 && done == sent {
-                        // Nothing in flight and nothing due: sleep.
-                        std::thread::sleep(Duration::from_nanos(due_ns - now_ns));
-                    } else {
-                        break;
-                    }
-                }
-            }
-            encode_request(&lines[sent], codec, &mut burst)?;
-            sent += 1;
-            burst_n += 1;
-            if rate_per_conn.is_some() {
-                break; // open loop: one request per due tick
-            }
-        }
-        if !burst.is_empty() {
-            stream.write_all(&burst)?;
-            let now_ns = monotonic_ns();
-            for i in sent - burst_n..sent {
-                // Open loop: rtt runs from the *scheduled* send, so time
-                // this request spent waiting behind a blocking read
-                // still counts (no coordinated omission).
-                send_times.push_back(rate_per_conn.map_or(now_ns, |rate| due_ns(i, rate)));
-            }
-        }
-        if done < sent {
-            let frame = read_frame_blocking(&mut stream, &mut decoder)?;
-            let t_sent_ns = send_times
-                .pop_front()
-                .ok_or_else(|| LoadgenError::Protocol("response without a request".into()))?;
-            let now_ns = monotonic_ns();
-            let (rtt, service) = split_latency(now_ns, t_sent_ns, prev_done_ns);
-            result.rtt_us.push(rtt);
-            result.service_us.push(service);
-            prev_done_ns = now_ns;
-            result.record_reply(classify_frame(frame)?);
-            done += 1;
-        }
-    }
-    Ok(result)
-}
-
-/// One reactor-multiplexed connection of the many-connection open loop.
-struct OpenConn {
+/// One multiplexed connection of the request loop.
+struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     out: Vec<u8>,
     out_pos: usize,
+    /// `(request index, send stamp)` per request awaiting its reply,
+    /// in send order (replies come back in request order).
     inflight: VecDeque<(usize, u64)>,
     prev_done_ns: u64,
     want_write: bool,
+    /// Closed loop: the requests of this connection's contiguous share
+    /// not yet sent.
+    todo: std::ops::Range<usize>,
 }
 
-impl OpenConn {
+impl Conn {
+    /// Connect, negotiate `codec` while the socket still blocks (the ack
+    /// arrives in the old codec; only then does the decoder switch,
+    /// mirroring the server's parse-time seam), then go non-blocking.
+    fn open(
+        addr: &str,
+        codec: Codec,
+        todo: std::ops::Range<usize>,
+        connect_us: &mut Vec<f64>,
+    ) -> Result<Conn, LoadgenError> {
+        let t_conn_ns = monotonic_ns();
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        connect_us.push(monotonic_ns().saturating_sub(t_conn_ns) as f64 / 1e3);
+        let mut decoder = FrameDecoder::new();
+        if codec != Codec::Ndjson {
+            let line = format!("{{\"cmd\":\"codec\",\"v\":\"{}\"}}", codec.wire_name());
+            exchange(&mut stream, &line)?;
+            decoder.set_codec(codec);
+        }
+        stream.set_nonblocking(true)?;
+        Ok(Conn {
+            stream,
+            decoder,
+            out: Vec::new(),
+            out_pos: 0,
+            inflight: VecDeque::new(),
+            prev_done_ns: 0,
+            want_write: false,
+            todo,
+        })
+    }
+
+    /// Queue request `idx` stamped `sent_ns`.
+    fn queue(&mut self, idx: usize, bytes: &[u8], sent_ns: u64) {
+        self.out.extend_from_slice(bytes);
+        self.inflight.push_back((idx, sent_ns));
+    }
+
     /// Push buffered bytes until the socket would block.
     fn flush(&mut self) -> std::io::Result<()> {
         while self.out_pos < self.out.len() {
@@ -822,51 +673,83 @@ impl OpenConn {
     }
 }
 
-/// What the many-connection open loop measured.
-struct OpenLoopOutcome {
+/// What one driven request list measured.
+#[derive(Default)]
+struct Outcome {
     wall_s: f64,
     rtt_us: Vec<f64>,
     service_us: Vec<f64>,
     connect_us: Vec<f64>,
-    /// Indexed by global schedule order, so `d_star` streams stay
-    /// deterministic regardless of which connection answered first.
+    /// Indexed by position in the request list (NaN for an error
+    /// reply), so the stream does not depend on which connection
+    /// answered first.
     d_stars: Vec<f64>,
     cache_hits: u64,
-    protocol_errors: u64,
-    error_tally: ErrorTally,
+    errors: ErrorTally,
 }
 
-/// Fire `lines` on a single global open-loop schedule at `rate` req/s,
-/// round-robin across `conns` reactor-multiplexed connections.
+impl Outcome {
+    /// Record request `idx`'s reply frame, from either codec.
+    fn record(&mut self, idx: usize, frame: Frame) -> Result<(), LoadgenError> {
+        let line = match frame {
+            Frame::Bin(payload) => match framing::decode_response_frame(&payload)? {
+                BinResponse::Decision(d) => {
+                    self.d_stars[idx] = d.d_star;
+                    self.cache_hits += u64::from(d.cache_hit);
+                    return Ok(());
+                }
+                BinResponse::Json(line) => line,
+            },
+            Frame::Line(line) => line,
+        };
+        let value = json::parse(line.trim())
+            .map_err(|e| LoadgenError::Protocol(format!("unparsable response: {e}")))?;
+        if let Some(err) = value.get("error") {
+            self.errors.record(err.as_str());
+            return Ok(());
+        }
+        self.d_stars[idx] = value
+            .get("d_star")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| LoadgenError::Protocol("response lacks d_star".into()))?;
+        self.cache_hits += u64::from(value.get("cache_hit").and_then(Json::as_bool) == Some(true));
+        Ok(())
+    }
+}
+
+/// Drive `lines` over `conns` connections multiplexed on one poller.
 ///
-/// Send stamps are the *scheduled* fire times, not the actual write
-/// times, so when the server (or this client) falls behind, the backlog
-/// shows up as latency instead of silently stretching the schedule
-/// (coordinated omission). The fleet-of-UAVs shape falls out of the
-/// numbers: with thousands of connections and a modest rate, almost
-/// every connection is idle at any instant, yet all stay registered
-/// with the poller.
-fn drive_open_loop(
+/// * `rate: None` — closed loop: connection `t` sends its contiguous
+///   [`share`] of the list in order, keeping up to `window` requests in
+///   flight; rtt runs from the moment a request is queued.
+/// * `rate: Some(r)` — open loop: request `i` is due `i / r` seconds
+///   after the start and goes out on connection `i % conns`, however
+///   many replies are outstanding. rtt runs from the *scheduled* send,
+///   so when the server (or this client) falls behind, the backlog
+///   shows up as latency instead of silently stretching the schedule
+///   (coordinated omission). A late wakeup sends the whole backlog as
+///   one burst.
+///
+/// The wall clock starts after every connection is open and negotiated
+/// and stops at the last reply.
+fn drive(
     addr: &str,
     lines: &[String],
     conns: usize,
-    rate: f64,
+    window: usize,
+    rate: Option<f64>,
     codec: Codec,
-) -> Result<OpenLoopOutcome, LoadgenError> {
+) -> Result<Outcome, LoadgenError> {
     let total = lines.len();
     let nconns = conns.max(1);
-    let mut outcome = OpenLoopOutcome {
+    let window = window.max(1);
+    let mut o = Outcome {
         wall_s: 1e-9,
-        rtt_us: Vec::with_capacity(total),
-        service_us: Vec::with_capacity(total),
-        connect_us: Vec::with_capacity(nconns),
         d_stars: vec![f64::NAN; total],
-        cache_hits: 0,
-        protocol_errors: 0,
-        error_tally: ErrorTally::default(),
+        ..Outcome::default()
     };
     if total == 0 {
-        return Ok(outcome);
+        return Ok(o);
     }
     let encoded: Vec<Vec<u8>> = lines
         .iter()
@@ -878,67 +761,60 @@ fn drive_open_loop(
         .collect::<Result<_, LoadgenError>>()?;
 
     let mut poller = Poller::new();
-    let mut cs: Vec<OpenConn> = Vec::with_capacity(nconns);
-    for i in 0..nconns {
-        let t_conn_ns = monotonic_ns();
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        outcome
-            .connect_us
-            .push(monotonic_ns().saturating_sub(t_conn_ns) as f64 / 1e3);
-        let mut decoder = FrameDecoder::new();
-        negotiate_codec(&mut stream, &mut decoder, codec)?;
-        stream.set_nonblocking(true)?;
-        poller.register(stream.as_raw_fd(), Token(i as u64), Interest::READ);
-        cs.push(OpenConn {
-            stream,
-            decoder,
-            out: Vec::new(),
-            out_pos: 0,
-            inflight: VecDeque::new(),
-            prev_done_ns: 0,
-            want_write: false,
-        });
+    let mut cs: Vec<Conn> = Vec::with_capacity(nconns);
+    let mut start = 0;
+    for t in 0..nconns {
+        let end = start + share(total, nconns, t);
+        let c = Conn::open(addr, codec, start..end, &mut o.connect_us)?;
+        start = end;
+        poller.register(c.stream.as_raw_fd(), Token(t as u64), Interest::READ);
+        cs.push(c);
     }
 
-    let interval_ns = 1e9 / rate.max(1e-9);
+    let interval_ns = rate.map(|r| 1e9 / r.max(1e-9));
     let t0_ns = monotonic_ns();
-    let due_of = |i: usize| t0_ns + (i as f64 * interval_ns) as u64;
+    let due_of = |i: usize, iv: f64| t0_ns + (i as f64 * iv) as u64;
     let mut next = 0usize;
     let mut done = 0usize;
     let mut last_done_ns = t0_ns;
     let mut events: Vec<Event> = Vec::new();
     while done < total {
-        // Launch everything the schedule says is due; a late wakeup
-        // sends the whole backlog as one burst (open loop: the schedule
-        // never stretches).
         let now_ns = monotonic_ns();
-        while next < total && due_of(next) <= now_ns {
-            let c = &mut cs[next % nconns];
-            c.out.extend_from_slice(&encoded[next]);
-            c.inflight.push_back((next, due_of(next)));
-            next += 1;
+        match interval_ns {
+            Some(iv) => {
+                while next < total && due_of(next, iv) <= now_ns {
+                    cs[next % nconns].queue(next, &encoded[next], due_of(next, iv));
+                    next += 1;
+                }
+            }
+            None => {
+                for c in cs.iter_mut() {
+                    while c.inflight.len() < window {
+                        let Some(idx) = c.todo.next() else { break };
+                        c.queue(idx, &encoded[idx], now_ns);
+                    }
+                }
+            }
         }
-        for (i, c) in cs.iter_mut().enumerate() {
+        for (t, c) in cs.iter_mut().enumerate() {
             if c.out_pos < c.out.len() {
                 c.flush()?;
             }
             let want = c.out_pos < c.out.len();
             if want != c.want_write {
-                let interest = if want {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
+                let interest = Interest {
+                    readable: true,
+                    writable: want,
                 };
-                poller.modify(Token(i as u64), interest);
+                poller.modify(Token(t as u64), interest);
                 c.want_write = want;
             }
         }
-        let timeout = if next < total {
-            let gap_ns = due_of(next).saturating_sub(monotonic_ns());
-            Some((gap_ns.div_ceil(1_000_000)).max(1) as i32)
-        } else {
-            None
+        let timeout = match interval_ns {
+            Some(iv) if next < total => Some(Duration::from_nanos(
+                due_of(next, iv).saturating_sub(monotonic_ns()),
+            )),
+            _ => None,
         };
         poller.wait(&mut events, timeout)?;
         for ev in events.iter() {
@@ -951,28 +827,17 @@ fn drive_open_loop(
             }
             let eof = c.read_ready()?;
             while let Some(frame) = c.decoder.next_frame()? {
-                let (idx, due_ns) = c
+                let (idx, sent_ns) = c
                     .inflight
                     .pop_front()
                     .ok_or_else(|| LoadgenError::Protocol("response without a request".into()))?;
                 let now_ns = monotonic_ns();
-                let (rtt, service) = split_latency(now_ns, due_ns, c.prev_done_ns);
-                outcome.rtt_us.push(rtt);
-                outcome.service_us.push(service);
+                let (rtt, service) = split_latency(now_ns, sent_ns, c.prev_done_ns);
+                o.rtt_us.push(rtt);
+                o.service_us.push(service);
                 c.prev_done_ns = now_ns;
                 last_done_ns = now_ns;
-                match classify_frame(frame)? {
-                    Reply::Decision { d_star, cache_hit } => {
-                        outcome.d_stars[idx] = d_star;
-                        if cache_hit {
-                            outcome.cache_hits += 1;
-                        }
-                    }
-                    Reply::ErrorTag(tag) => {
-                        outcome.protocol_errors += 1;
-                        outcome.error_tally.record(tag.as_deref());
-                    }
-                }
+                o.record(idx, frame)?;
                 done += 1;
             }
             if eof && done < total {
@@ -982,36 +847,8 @@ fn drive_open_loop(
             }
         }
     }
-    outcome.wall_s = (last_done_ns.saturating_sub(t0_ns) as f64 / 1e9).max(1e-9);
-    Ok(outcome)
-}
-
-/// One control request over its own throwaway connection.
-fn control(addr: &str, line: &str) -> Result<Json, LoadgenError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut write_half = stream.try_clone()?;
-    write_half.write_all(line.as_bytes())?;
-    write_half.write_all(b"\n")?;
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response)?;
-    json::parse(response.trim())
-        .map_err(|e| LoadgenError::Protocol(format!("unparsable control response: {e}")))
-}
-
-/// A control request that must be acknowledged: an `{"error": ...}`
-/// answer (e.g. a `policy` toggle against a server with no table loaded)
-/// aborts the run instead of silently measuring the wrong path.
-fn control_ok(addr: &str, line: &str) -> Result<Json, LoadgenError> {
-    let response = control(addr, line)?;
-    if let Some(err) = response.get("error") {
-        return Err(LoadgenError::Protocol(format!(
-            "control {line} rejected: {}",
-            err.render()
-        )));
-    }
-    Ok(response)
+    o.wall_s = (last_done_ns.saturating_sub(t0_ns) as f64 / 1e9).max(1e-9);
+    Ok(o)
 }
 
 /// One measured phase.
@@ -1039,17 +876,36 @@ pub struct PhaseReport {
     pub connect: LatencySummary,
     /// The server's `STATS` snapshot taken right after the phase.
     pub server_stats: Json,
-    /// Per-connection `d_star` streams (for cross-phase comparison).
-    d_stars: Vec<Vec<f64>>,
+    /// The `d_star` stream in request-list order (NaN for an error
+    /// reply), for cross-phase comparison.
+    d_stars: Vec<f64>,
 }
 
 impl PhaseReport {
-    /// The phase's `d_star` stream as raw bits, per-connection streams
-    /// concatenated in connection order — the unit of the
-    /// `--expect-identical` comparison, exposed so integration tests
-    /// can also compare it *across* runs (shard counts, codecs).
+    /// The phase's `d_star` stream as raw bits, in request-list order —
+    /// the unit of the `--expect-identical` comparison, exposed so
+    /// integration tests can also compare it *across* runs (shard
+    /// counts, codecs).
     pub fn d_star_bits(&self) -> Vec<u64> {
-        self.d_stars.iter().flatten().map(|d| d.to_bits()).collect()
+        self.d_stars.iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// FNV-1a (word-wise) over [`d_star_bits`](Self::d_star_bits): equal
+    /// digests from separate runs prove the servers produced
+    /// bit-identical decision streams.
+    pub fn d_star_digest(&self) -> String {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in self.d_star_bits() {
+            h ^= b;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        format!("{h:016x}")
+    }
+
+    /// The server-side decide p50 (µs) from the embedded `stats`
+    /// snapshot; `reset` clears it between phases.
+    fn decide_p50_us(&self) -> Option<f64> {
+        self.server_stats.get("latency")?.get("p50_us")?.as_f64()
     }
 
     fn to_json(&self) -> Json {
@@ -1060,6 +916,7 @@ impl PhaseReport {
             ("protocol_errors", Json::Int(self.protocol_errors as i64)),
             ("errors_by_kind", self.errors_by_kind.to_json()),
             ("cache_hits", Json::Int(self.cache_hits as i64)),
+            ("d_star_digest", Json::str(self.d_star_digest())),
             (
                 "latency_us",
                 Json::obj([
@@ -1121,14 +978,16 @@ pub struct Report {
     pub phases: Vec<PhaseReport>,
     /// Latency-under-load curve (`--saturation`), in sweep order.
     pub saturation: Vec<SatPoint>,
-    /// Cached/uncached throughput ratio on the warm workload.
+    /// Server-side decide p50 of `no-cache` over `cache`, warm
+    /// workload: what the cache saves per decision, measured where the
+    /// solve happens (end-to-end rps is dominated by framing and I/O).
     pub speedup: Option<f64>,
-    /// Cached/uncached throughput ratio on the miss-heavy workload.
+    /// The same ratio on the miss-heavy workload.
     pub speedup_miss: Option<f64>,
-    /// Table/uncached throughput ratio on the warm workload
+    /// Decide p50 of `no-cache` over `table`, warm workload
     /// (`--policy-compare` only).
     pub table_speedup: Option<f64>,
-    /// Table/uncached throughput ratio on the miss-heavy workload.
+    /// The same ratio on the miss-heavy workload.
     pub table_speedup_miss: Option<f64>,
     /// Were the `d_star` streams bit-identical across the phases of
     /// each workload (warm phases vs warm, miss vs miss)?
@@ -1136,17 +995,14 @@ pub struct Report {
     /// Inter-arrival statistics of the replayed stream (`--fleet-trace`
     /// only).
     pub fleet_trace: Option<TraceStats>,
-    /// FNV-1a digest of the replayed `d_star` bit stream (`--fleet-trace`
-    /// only): equal digests across separate runs — e.g. against servers
-    /// with different shard counts — prove bit-identical responses.
-    pub d_star_digest: Option<String>,
     cfg: LoadgenConfig,
 }
 
 impl Report {
     /// Serialise for `BENCH_serve.json` / `BENCH_policy.json`.
     pub fn to_json(&self) -> Json {
-        let ratio = |r: Option<f64>| r.map(|s| Json::Fixed(s, 2)).unwrap_or(Json::Null);
+        let opt = |v: Option<Json>| v.unwrap_or(Json::Null);
+        let ratio = |r: Option<f64>| opt(r.map(|s| Json::Fixed(s, 2)));
         Json::obj([
             (
                 "workload",
@@ -1156,48 +1012,32 @@ impl Report {
                     ("window", Json::Int(self.cfg.window as i64)),
                     (
                         "mode",
-                        Json::str(if self.cfg.conns > 0 && self.cfg.rate.is_some() {
+                        Json::str(if self.cfg.rate.is_some() {
                             "open-loop-conns"
-                        } else if self.cfg.rate.is_some() {
-                            "open-loop"
                         } else {
                             "closed-loop"
                         }),
                     ),
-                    (
-                        "rate_rps",
-                        self.cfg.rate.map(Json::Num).unwrap_or(Json::Null),
-                    ),
+                    ("rate_rps", opt(self.cfg.rate.map(Json::Num))),
                     ("conns", Json::Int(self.cfg.conns as i64)),
                     ("codec", Json::str(self.cfg.codec.wire_name())),
-                    ("seed", Json::Int(self.cfg.seed as i64)),
-                    ("pool", Json::Int(self.cfg.pool as i64)),
-                    ("unique_frac", Json::Num(self.cfg.unique_frac)),
-                    (
-                        "grid",
-                        match self.cfg.grid {
-                            Some(GridMode::Quick) => Json::str("quick"),
-                            Some(GridMode::Full) => Json::str("full"),
-                            None => Json::Null,
-                        },
-                    ),
+                    ("seed", Json::Int(SEED as i64)),
+                    ("grid", opt(self.cfg.grid.map(|g| Json::str(g.name())))),
                     ("miss_heavy", Json::Bool(self.cfg.miss_heavy)),
                     ("policy_compare", Json::Bool(self.cfg.policy_compare)),
                     (
                         "fleet_trace",
-                        self.cfg
+                        opt(self
+                            .cfg
                             .fleet_trace
                             .as_ref()
-                            .map(|p| Json::str(p.display().to_string()))
-                            .unwrap_or(Json::Null),
+                            .map(|p| Json::str(p.display().to_string()))),
                     ),
                 ]),
             ),
             (
                 "fleet_trace_stats",
-                self.fleet_trace
-                    .map(TraceStats::to_json)
-                    .unwrap_or(Json::Null),
+                opt(self.fleet_trace.map(TraceStats::to_json)),
             ),
             (
                 "phases",
@@ -1213,125 +1053,35 @@ impl Report {
             ("table_speedup_miss", ratio(self.table_speedup_miss)),
             (
                 "d_star_identical",
-                self.d_star_identical.map(Json::Bool).unwrap_or(Json::Null),
-            ),
-            (
-                "d_star_digest",
-                self.d_star_digest
-                    .as_ref()
-                    .map(Json::str)
-                    .unwrap_or(Json::Null),
+                opt(self.d_star_identical.map(Json::Bool)),
             ),
         ])
     }
 }
 
-/// FNV-1a (word-wise) over a phase's `d_star` bit stream. Reported in
-/// `--fleet-trace` mode: equal digests from separate loadgen runs prove
-/// the servers produced bit-identical decision streams.
-fn d_star_stream_digest(phase: &PhaseReport) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in phase.d_star_bits() {
-        h ^= b;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
+/// Run one phase: drive `lines` over `conns` connections in the
+/// configured mode, then take the server's `stats` snapshot.
 fn run_phase(
     cfg: &LoadgenConfig,
-    label: &'static str,
-    workload: &[Vec<String>],
-) -> Result<PhaseReport, LoadgenError> {
-    if cfg.conns > 0 {
-        if let Some(rate) = cfg.rate {
-            return run_phase_open_loop(cfg, label, &workload[0], rate);
-        }
-    }
-    let rate_per_conn = cfg.rate.map(|r| r / workload.len().max(1) as f64);
-    let t0_ns = monotonic_ns();
-    let results: Vec<Result<ThreadResult, LoadgenError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workload
-            .iter()
-            .map(|lines| {
-                scope.spawn(|| {
-                    drive_connection(&cfg.addr, lines, cfg.window, rate_per_conn, cfg.codec)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver thread panicked"))
-            .collect()
-    });
-    let wall_s = monotonic_ns().saturating_sub(t0_ns) as f64 / 1e9;
-
-    let mut rtt_us = Vec::new();
-    let mut service_us = Vec::new();
-    let mut connect_us = Vec::new();
-    let mut d_stars = Vec::new();
-    let mut protocol_errors = 0;
-    let mut errors_by_kind = ErrorTally::default();
-    let mut cache_hits = 0;
-    for r in results {
-        let r = r?;
-        rtt_us.extend(r.rtt_us);
-        service_us.extend(r.service_us);
-        connect_us.extend(r.connect_us);
-        d_stars.push(r.d_stars);
-        protocol_errors += r.protocol_errors;
-        errors_by_kind.merge(&r.error_tally);
-        cache_hits += r.cache_hits;
-    }
-    let server_stats = control(&cfg.addr, r#"{"cmd":"stats"}"#)?;
-    Ok(PhaseReport {
-        label,
-        wall_s,
-        throughput_rps: rtt_us.len() as f64 / wall_s.max(1e-9),
-        protocol_errors,
-        errors_by_kind,
-        cache_hits,
-        rtt: LatencySummary::from_samples(&rtt_us),
-        service: LatencySummary::from_samples(&service_us),
-        connect: LatencySummary::from_samples(&connect_us),
-        server_stats,
-        d_stars,
-    })
-}
-
-/// The many-connection variant of [`run_phase`]: the whole workload is
-/// one global stream fired open-loop across `cfg.conns` connections.
-fn run_phase_open_loop(
-    cfg: &LoadgenConfig,
+    conns: usize,
     label: &'static str,
     lines: &[String],
-    rate: f64,
 ) -> Result<PhaseReport, LoadgenError> {
-    let o = drive_open_loop(&cfg.addr, lines, cfg.conns, rate, cfg.codec)?;
+    let o = drive(&cfg.addr, lines, conns, cfg.window, cfg.rate, cfg.codec)?;
     let server_stats = control(&cfg.addr, r#"{"cmd":"stats"}"#)?;
     Ok(PhaseReport {
         label,
         wall_s: o.wall_s,
         throughput_rps: lines.len() as f64 / o.wall_s,
-        protocol_errors: o.protocol_errors,
-        errors_by_kind: o.error_tally,
+        protocol_errors: o.errors.total(),
+        errors_by_kind: o.errors,
         cache_hits: o.cache_hits,
         rtt: LatencySummary::from_samples(&o.rtt_us),
         service: LatencySummary::from_samples(&o.service_us),
         connect: LatencySummary::from_samples(&o.connect_us),
         server_stats,
-        d_stars: vec![o.d_stars],
+        d_stars: o.d_stars,
     })
-}
-
-/// The `-miss` variant of a phase label.
-fn miss_label(base: &str) -> &'static str {
-    match base {
-        "table" => "table-miss",
-        "cache" => "cache-miss",
-        "no-cache" => "no-cache-miss",
-        _ => "single-miss",
-    }
 }
 
 /// Bitwise `d_star` identity across a group of phases that replayed
@@ -1340,47 +1090,32 @@ fn d_stars_identical(group: &[&PhaseReport]) -> Option<bool> {
     if group.len() < 2 {
         return None;
     }
-    let first: Vec<u64> = group[0]
-        .d_stars
-        .iter()
-        .flatten()
-        .map(|d| d.to_bits())
-        .collect();
-    Some(group.iter().skip(1).all(|p| {
-        p.d_stars
-            .iter()
-            .flatten()
-            .map(|d| d.to_bits())
-            .eq(first.iter().copied())
-    }))
+    let first = group[0].d_star_bits();
+    Some(group[1..].iter().all(|p| p.d_star_bits() == first))
 }
 
-/// Sweep the offered-load points of `cfg.saturation` over the
-/// many-connection open loop and return the curve. One `reset` precedes
-/// the sweep, so the first point pays the pool's cache misses and the
-/// rest measure the warm serving path — the curve's knee is the
-/// capacity number BENCH_serve.json is after.
+/// Sweep the offered-load points of `cfg.saturation` over `cfg.conns`
+/// open-loop connections (64 when unset) and return the curve. One
+/// `reset` precedes the sweep, so the first point pays the pool's cache
+/// misses and the rest measure the warm serving path — the curve's knee
+/// is the capacity number BENCH_serve.json is after.
 fn run_saturation(cfg: &LoadgenConfig) -> Result<Vec<SatPoint>, LoadgenError> {
     if cfg.saturation.is_empty() {
         return Ok(Vec::new());
     }
     let conns = if cfg.conns > 0 { cfg.conns } else { 64 };
-    let flat_cfg = LoadgenConfig {
-        concurrency: 1,
-        ..cfg.clone()
-    };
-    let lines = build_workload(&flat_cfg).pop().unwrap_or_default();
-    control_ok(&cfg.addr, r#"{"cmd":"reset"}"#)?;
+    let lines = build_workload(cfg, 1, false);
+    control(&cfg.addr, r#"{"cmd":"reset"}"#)?;
     let mut curve = Vec::with_capacity(cfg.saturation.len());
     for &rate in &cfg.saturation {
-        let o = drive_open_loop(&cfg.addr, &lines, conns, rate, cfg.codec)?;
+        let o = drive(&cfg.addr, &lines, conns, cfg.window, Some(rate), cfg.codec)?;
         curve.push(SatPoint {
             offered_rps: rate,
             achieved_rps: lines.len() as f64 / o.wall_s,
             conns,
             requests: lines.len(),
-            protocol_errors: o.protocol_errors,
-            errors_by_kind: o.error_tally,
+            protocol_errors: o.errors.total(),
+            errors_by_kind: o.errors,
             rtt: LatencySummary::from_samples(&o.rtt_us),
             service: LatencySummary::from_samples(&o.service_us),
         });
@@ -1391,105 +1126,101 @@ fn run_saturation(cfg: &LoadgenConfig) -> Result<Vec<SatPoint>, LoadgenError> {
 /// Run the configured workload; on success the report is also written
 /// to `cfg.out` (pretty JSON) when set.
 pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
-    // The many-connection open loop consumes the workload as one global
-    // stream; build it as a single deterministic sequence there.
-    let open_loop = cfg.conns > 0 && cfg.rate.is_some();
-    let wl_cfg = LoadgenConfig {
-        concurrency: if open_loop { 1 } else { cfg.concurrency },
-        ..cfg.clone()
+    // Closed loop draws one workload stream per connection; the open
+    // loop's single global schedule draws one.
+    let (conns, streams) = match cfg.rate {
+        Some(_) => (cfg.conns, 1),
+        None => (cfg.concurrency, cfg.concurrency),
     };
-    let fleet = match &cfg.fleet_trace {
+    let (warm, fleet_trace) = match &cfg.fleet_trace {
         Some(path) => {
             let text = std::fs::read_to_string(path)?;
-            Some(parse_fleet_trace(&text).map_err(LoadgenError::Protocol)?)
+            let f = parse_fleet_trace(&text).map_err(LoadgenError::Protocol)?;
+            let stats = trace_stats(&f.arrivals_s);
+            (f.lines, Some(stats))
         }
-        None => None,
+        None => (build_workload(cfg, streams, false), None),
     };
-    let warm = match &fleet {
-        Some(f) => split_stream(&f.lines, wl_cfg.concurrency),
-        None => build_workload(&wl_cfg),
-    };
-    let miss = cfg.miss_heavy.then(|| build_workload_unique(&wl_cfg, 1.0));
+    let miss = cfg.miss_heavy.then(|| build_workload(cfg, streams, true));
 
-    // One entry per server configuration: (base label, policy toggle,
-    // cache toggle). Each runs the warm workload, then the miss-heavy
-    // one when requested.
-    let specs: Vec<(&'static str, Option<bool>, Option<bool>)> = if cfg.policy_compare {
+    // One entry per server configuration: (label, miss-heavy label,
+    // policy toggle, cache toggle). Each runs the warm workload, then
+    // the miss-heavy one when requested.
+    type Spec = (&'static str, &'static str, Option<bool>, Option<bool>);
+    let specs: Vec<Spec> = if cfg.policy_compare {
         vec![
-            ("table", Some(true), Some(true)),
-            ("cache", Some(false), Some(true)),
-            ("no-cache", Some(false), Some(false)),
+            ("table", "table-miss", Some(true), Some(true)),
+            ("cache", "cache-miss", Some(false), Some(true)),
+            ("no-cache", "no-cache-miss", Some(false), Some(false)),
         ]
     } else if cfg.compare {
-        vec![("cache", None, Some(true)), ("no-cache", None, Some(false))]
+        vec![
+            ("cache", "cache-miss", None, Some(true)),
+            ("no-cache", "no-cache-miss", None, Some(false)),
+        ]
     } else {
-        vec![("single", None, None)]
+        vec![("single", "single-miss", None, None)]
     };
     let multi_phase = specs.len() > 1 || miss.is_some();
 
     let mut phases = Vec::new();
-    for &(base, policy_on, cache_on) in &specs {
+    for &(base, base_miss, policy_on, cache_on) in &specs {
         if let Some(on) = cache_on {
-            control_ok(&cfg.addr, &format!(r#"{{"cmd":"cache","enabled":{on}}}"#))?;
+            control(&cfg.addr, &format!(r#"{{"cmd":"cache","enabled":{on}}}"#))?;
         }
         if let Some(on) = policy_on {
-            control_ok(&cfg.addr, &format!(r#"{{"cmd":"policy","enabled":{on}}}"#))?;
+            control(&cfg.addr, &format!(r#"{{"cmd":"policy","enabled":{on}}}"#))?;
         }
-        let mut workloads: Vec<(&'static str, &Vec<Vec<String>>)> = vec![(base, &warm)];
+        let mut workloads: Vec<(&'static str, &Vec<String>)> = vec![(base, &warm)];
         if let Some(m) = &miss {
-            workloads.push((miss_label(base), m));
+            workloads.push((base_miss, m));
         }
         for (label, workload) in workloads {
             if multi_phase {
-                control_ok(&cfg.addr, r#"{"cmd":"reset"}"#)?;
+                control(&cfg.addr, r#"{"cmd":"reset"}"#)?;
             }
-            phases.push(run_phase(cfg, label, workload)?);
+            phases.push(run_phase(cfg, conns, label, workload)?);
         }
     }
     // Restore the toggles the sweep changed.
     if cfg.policy_compare {
-        control_ok(&cfg.addr, r#"{"cmd":"policy","enabled":true}"#)?;
+        control(&cfg.addr, r#"{"cmd":"policy","enabled":true}"#)?;
     }
     if cfg.compare || cfg.policy_compare {
-        control_ok(&cfg.addr, r#"{"cmd":"cache","enabled":true}"#)?;
+        control(&cfg.addr, r#"{"cmd":"cache","enabled":true}"#)?;
     }
 
     let saturation = run_saturation(cfg)?;
 
-    let rps = |label: &str| {
+    let p50 = |label: &str| {
         phases
             .iter()
             .find(|p| p.label == label)
-            .map(|p| p.throughput_rps)
+            .and_then(PhaseReport::decide_p50_us)
     };
     let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
         (Some(n), Some(d)) => Some(n / d.max(1e-9)),
         _ => None,
     };
-    let speedup = ratio(rps("cache"), rps("no-cache"));
-    let speedup_miss = ratio(rps("cache-miss"), rps("no-cache-miss"));
-    let table_speedup = ratio(rps("table"), rps("no-cache"));
-    let table_speedup_miss = ratio(rps("table-miss"), rps("no-cache-miss"));
+    let speedup = ratio(p50("no-cache"), p50("cache"));
+    let speedup_miss = ratio(p50("no-cache-miss"), p50("cache-miss"));
+    let table_speedup = ratio(p50("no-cache"), p50("table"));
+    let table_speedup_miss = ratio(p50("no-cache-miss"), p50("table-miss"));
 
-    let warm_group: Vec<&PhaseReport> = phases
-        .iter()
-        .filter(|p| !p.label.ends_with("-miss"))
-        .collect();
-    let miss_group: Vec<&PhaseReport> = phases
-        .iter()
-        .filter(|p| p.label.ends_with("-miss"))
-        .collect();
+    let group = |miss: bool| -> Vec<&PhaseReport> {
+        let phases = phases.iter();
+        phases
+            .filter(|p| p.label.ends_with("-miss") == miss)
+            .collect()
+    };
     let d_star_identical = match (
-        d_stars_identical(&warm_group),
-        d_stars_identical(&miss_group),
+        d_stars_identical(&group(false)),
+        d_stars_identical(&group(true)),
     ) {
         (None, None) => None,
         (a, b) => Some(a.unwrap_or(true) && b.unwrap_or(true)),
     };
 
-    let d_star_digest = fleet
-        .as_ref()
-        .and_then(|_| phases.first().map(d_star_stream_digest));
     let report = Report {
         phases,
         saturation,
@@ -1498,8 +1229,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
         table_speedup,
         table_speedup_miss,
         d_star_identical,
-        fleet_trace: fleet.as_ref().map(|f| trace_stats(&f.arrivals_s)),
-        d_star_digest,
+        fleet_trace,
         cfg: cfg.clone(),
     };
 
@@ -1511,14 +1241,14 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
     }
 
     if cfg.check {
-        let errors: u64 = report.phases.iter().map(|p| p.protocol_errors).sum();
-        if errors > 0 {
-            let mut by_kind = ErrorTally::default();
-            for p in &report.phases {
-                by_kind.merge(&p.errors_by_kind);
-            }
+        let mut by_kind = ErrorTally::default();
+        for p in &report.phases {
+            by_kind.merge(&p.errors_by_kind);
+        }
+        if by_kind.total() > 0 {
             return Err(LoadgenError::CheckFailed(format!(
-                "{errors} protocol error responses ({})",
+                "{} protocol error responses ({})",
+                by_kind.total(),
                 by_kind.describe()
             )));
         }
@@ -1528,7 +1258,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
         if let (Some(min), Some(got)) = (cfg.min_speedup, report.speedup) {
             if got < min {
                 return Err(LoadgenError::CheckFailed(format!(
-                    "cache speedup {got:.2}x below required {min:.2}x"
+                    "cache speedup (decide p50, no-cache / cache) {got:.2}x below required {min:.2}x"
                 )));
             }
         }
@@ -1541,7 +1271,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
                 })?;
             if got < min {
                 return Err(LoadgenError::CheckFailed(format!(
-                    "table speedup {got:.2}x below required {min:.2}x"
+                    "table speedup (decide p50, no-cache / table) {got:.2}x below required {min:.2}x"
                 )));
             }
         }
@@ -1591,25 +1321,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<LoadgenConfi
                 cfg.codec = Codec::from_wire(&raw)
                     .ok_or_else(|| format!("unknown codec '{raw}' (ndjson|bin1)"))?;
             }
-            "--seed" => cfg.seed = value(&mut args, "--seed")?,
-            "--pool" => cfg.pool = value(&mut args, "--pool")?,
-            "--unique-frac" => cfg.unique_frac = value(&mut args, "--unique-frac")?,
             "--grid" => cfg.grid = Some(value(&mut args, "--grid")?),
-            "--fleet-trace" => {
-                cfg.fleet_trace = Some(PathBuf::from(
-                    args.next()
-                        .ok_or("--fleet-trace needs a value".to_string())?,
-                ))
-            }
+            "--fleet-trace" => cfg.fleet_trace = Some(value(&mut args, "--fleet-trace")?),
             "--min-speedup" => cfg.min_speedup = Some(value(&mut args, "--min-speedup")?),
             "--min-table-speedup" => {
                 cfg.min_table_speedup = Some(value(&mut args, "--min-table-speedup")?)
             }
-            "--out" => {
-                cfg.out = Some(PathBuf::from(
-                    args.next().ok_or("--out needs a value".to_string())?,
-                ))
-            }
+            "--out" => cfg.out = Some(value(&mut args, "--out")?),
             "--compare" => cfg.compare = true,
             "--policy-compare" => cfg.policy_compare = true,
             "--miss-heavy" => cfg.miss_heavy = true,
@@ -1625,6 +1343,9 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<LoadgenConfi
     if cfg.conns > 0 && cfg.rate.is_none() && cfg.saturation.is_empty() {
         return Err("--conns needs --rate or --saturation".to_string());
     }
+    if cfg.rate.is_some() && cfg.conns == 0 {
+        return Err("--rate needs --conns (the open loop's connection count)".to_string());
+    }
     if cfg.fleet_trace.is_some() && (cfg.miss_heavy || cfg.grid.is_some()) {
         return Err("--fleet-trace replays a fixed stream; drop --miss-heavy/--grid".to_string());
     }
@@ -1634,6 +1355,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<LoadgenConfi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::JoinHandle;
 
     #[test]
     fn error_tally_covers_every_wire_tag() {
@@ -1668,24 +1390,31 @@ mod tests {
         let cfg = LoadgenConfig {
             addr: "x".into(),
             requests: 100,
-            concurrency: 3,
-            pool: 8,
-            unique_frac: 0.0,
             ..Default::default()
         };
-        let a = build_workload(&cfg);
-        let b = build_workload(&cfg);
+        let a = build_workload(&cfg, 3, false);
+        let b = build_workload(&cfg, 3, false);
         assert_eq!(a, b, "same seed, same bytes");
-        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 100);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[0].len(), 34); // 100 = 34 + 33 + 33
-                                    // unique_frac 0 ⇒ every line is one of the 8 pool entries.
-        let mut distinct: Vec<&String> = a.iter().flatten().collect();
+        assert_eq!(a.len(), 100);
+        // Streams are joined in order: the first 34 lines (100 = 34 +
+        // 33 + 33) are stream 0, exactly what a one-stream run of 34
+        // requests draws.
+        let one = build_workload(
+            &LoadgenConfig {
+                requests: 34,
+                ..cfg
+            },
+            1,
+            false,
+        );
+        assert_eq!(a[..34], one[..]);
+        // The warm mix repeats the pool: every line is a pool entry.
+        let mut distinct: Vec<&String> = a.iter().collect();
         distinct.sort();
         distinct.dedup();
-        assert!(distinct.len() <= 8);
+        assert!(distinct.len() <= POOL);
         // Lines must parse as valid decision requests.
-        for line in a.iter().flatten() {
+        for line in &a {
             assert!(matches!(
                 crate::proto::parse_request(line),
                 Ok(crate::proto::Request::Decide(_))
@@ -1698,13 +1427,10 @@ mod tests {
         let cfg = LoadgenConfig {
             addr: "x".into(),
             requests: 200,
-            concurrency: 1,
-            pool: 4,
-            unique_frac: 1.0,
             ..Default::default()
         };
-        let lines = build_workload(&cfg);
-        let mut distinct: Vec<&String> = lines.iter().flatten().collect();
+        let lines = build_workload(&cfg, 1, true);
+        let mut distinct: Vec<&String> = lines.iter().collect();
         distinct.sort();
         distinct.dedup();
         assert!(distinct.len() > 150, "fresh params almost never collide");
@@ -1734,37 +1460,66 @@ mod tests {
         assert_eq!((rtt, service), (5.0, 5.0));
     }
 
-    // A reply that stalls the client's blocking read must not hide the
-    // next request's wait: at 1000 req/s the second request is due 1 ms
-    // in, but cannot be written until the first reply lands 50 ms in,
-    // so its rtt (timed from its scheduled send) is at least ~49 ms.
-    #[test]
-    fn open_loop_rtt_counts_from_the_scheduled_send() {
+    /// An in-test server for one connection: it must read `hold_after`
+    /// request lines before it sends the first reply, which it holds
+    /// for 50 ms; it answers every later request as soon as it reads it.
+    fn held_reply_server(requests: usize, hold_after: usize) -> (String, JoinHandle<()>) {
+        use std::io::{BufRead, BufReader};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
+            // A client that does not pipeline fails the test, not hangs it.
+            let timeout = Some(Duration::from_secs(5));
+            stream.set_read_timeout(timeout).expect("timeout");
             let mut writer = stream.try_clone().expect("clone");
-            let mut reader = BufReader::new(stream);
-            for i in 0..2 {
-                let mut line = String::new();
-                reader.read_line(&mut line).expect("request");
-                if i == 0 {
-                    std::thread::sleep(Duration::from_millis(50));
+            let mut lines = BufReader::new(stream).lines();
+            let mut read = |n: usize| {
+                for _ in 0..n {
+                    lines.next().expect("eof").expect("read");
                 }
+            };
+            read(hold_after);
+            std::thread::sleep(Duration::from_millis(50));
+            for i in 0..requests {
+                read(usize::from(i >= hold_after));
                 writer.write_all(b"{\"d_star\":100.0}\n").expect("reply");
             }
         });
+        (addr, server)
+    }
+
+    // A held reply must not hide the next request's wait: at 1000 req/s
+    // the second request is due 1 ms in, but its reply cannot come
+    // before the held first reply lands 50 ms in, so its rtt (timed
+    // from its scheduled send) is at least ~49 ms.
+    #[test]
+    fn open_loop_rtt_counts_from_the_scheduled_send() {
+        let (addr, server) = held_reply_server(2, 1);
         let lines = vec![r#"{"platform":"airplane"}"#.to_string(); 2];
-        let result =
-            drive_connection(&addr, &lines, 1, Some(1000.0), Codec::Ndjson).expect("drive");
+        let o = drive(&addr, &lines, 1, 1, Some(1000.0), Codec::Ndjson).expect("drive");
         server.join().expect("listener thread");
-        assert_eq!(result.rtt_us.len(), 2);
+        assert_eq!(o.rtt_us.len(), 2);
         assert!(
-            result.rtt_us[1] >= 40_000.0,
+            o.rtt_us[1] >= 40_000.0,
             "second rtt {} µs hides the stalled send",
-            result.rtt_us[1]
+            o.rtt_us[1]
         );
+    }
+
+    // Closed loop with window 2 pipelines: both request lines are on the
+    // wire before the first reply, so the server can read the second
+    // while it holds the first answer.
+    #[test]
+    fn closed_loop_window_pipelines_past_a_held_reply() {
+        let (addr, server) = held_reply_server(3, 2);
+        let lines = vec![r#"{"platform":"airplane"}"#.to_string(); 3];
+        let o = drive(&addr, &lines, 1, 2, None, Codec::Ndjson).expect("drive");
+        server
+            .join()
+            .expect("listener read both lines before replying");
+        assert_eq!(o.d_stars, vec![100.0; 3]);
+        assert!(o.rtt_us[0] >= 40_000.0, "first reply was held");
     }
 
     #[test]
@@ -1783,7 +1538,9 @@ mod tests {
             Ok(Request::Decide(p)) => p,
             other => panic!("expected decide, got {other:?}"),
         };
-        let reference = workload_params(line).expect("reference params");
+        let Ok(Request::Decide(reference)) = proto::parse_request(line) else {
+            panic!("reference line must parse as a decide request");
+        };
         assert_eq!(decoded.d0_m.to_bits(), reference.d0_m.to_bits());
         assert_eq!(decoded.v_mps.to_bits(), reference.v_mps.to_bits());
         // Control lines are not encodable as binary decides.
@@ -1791,49 +1548,19 @@ mod tests {
         assert!(encode_request(r#"{"cmd":"stats"}"#, Codec::Bin1, &mut out).is_err());
     }
 
+    /// Parse a whitespace-separated command line.
+    fn parse(line: &str) -> Result<LoadgenConfig, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
     #[test]
     fn args_parse_round_trip() {
-        let cfg = parse_args(
-            [
-                "--addr",
-                "127.0.0.1:9",
-                "--requests",
-                "500",
-                "--concurrency",
-                "2",
-                "--window",
-                "16",
-                "--conns",
-                "128",
-                "--rate",
-                "5000",
-                "--saturation",
-                "1000, 2000,4000",
-                "--codec",
-                "bin1",
-                "--seed",
-                "7",
-                "--pool",
-                "10",
-                "--unique-frac",
-                "0.25",
-                "--grid",
-                "quick",
-                "--compare",
-                "--policy-compare",
-                "--miss-heavy",
-                "--min-speedup",
-                "5",
-                "--min-table-speedup",
-                "3",
-                "--expect-identical",
-                "--check",
-                "--out",
-                "BENCH_serve.json",
-                "--shutdown-after",
-            ]
-            .into_iter()
-            .map(String::from),
+        let cfg = parse(
+            "--addr 127.0.0.1:9 --requests 500 --concurrency 2 --window 16 \
+             --conns 128 --rate 5000 --saturation 1000,2000,4000 --codec bin1 \
+             --grid quick --compare --policy-compare --miss-heavy --min-speedup 5 \
+             --min-table-speedup 3 --expect-identical --check \
+             --out BENCH_serve.json --shutdown-after",
         )
         .expect("valid args");
         assert_eq!(cfg.addr, "127.0.0.1:9");
@@ -1844,9 +1571,6 @@ mod tests {
         assert_eq!(cfg.rate, Some(5000.0));
         assert_eq!(cfg.saturation, vec![1000.0, 2000.0, 4000.0]);
         assert_eq!(cfg.codec, Codec::Bin1);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.pool, 10);
-        assert_eq!(cfg.unique_frac, 0.25);
         assert_eq!(cfg.grid, Some(GridMode::Quick));
         assert!(cfg.compare && cfg.check && cfg.expect_identical && cfg.shutdown_after);
         assert!(cfg.policy_compare && cfg.miss_heavy);
@@ -1856,32 +1580,27 @@ mod tests {
             cfg.out.as_deref(),
             Some(std::path::Path::new("BENCH_serve.json"))
         );
+        let spaced = ["--addr", "x", "--saturation", "1000, 2000"].map(String::from);
+        assert_eq!(
+            parse_args(spaced).expect("valid").saturation,
+            [1000.0, 2000.0]
+        );
 
+        assert!(parse("--requests 5").is_err(), "addr required");
+        assert!(parse("--frob").is_err());
+        assert!(parse("--addr").is_err());
+        assert!(parse("--addr x --grid vast").is_err(), "grids: quick|full");
         assert!(
-            parse_args(["--requests".into(), "5".into()]).is_err(),
-            "addr required"
+            parse("--addr x --codec cbor").is_err(),
+            "codecs: ndjson|bin1"
         );
-        assert!(parse_args(["--frob".into()]).is_err());
-        assert!(parse_args(["--addr".into()]).is_err());
+        assert!(parse("--addr x --conns 8").is_err(), "--conns needs a rate");
         assert!(
-            parse_args(["--addr".into(), "x".into(), "--grid".into(), "vast".into()]).is_err(),
-            "grid names are quick|full"
+            parse("--addr x --rate 100").is_err(),
+            "--rate needs --conns"
         );
-        assert!(
-            parse_args(["--addr".into(), "x".into(), "--codec".into(), "cbor".into()]).is_err(),
-            "codec names are ndjson|bin1"
-        );
-        assert!(
-            parse_args(["--addr".into(), "x".into(), "--conns".into(), "8".into()]).is_err(),
-            "--conns without --rate or --saturation has no driver"
-        );
-        assert!(parse_args([
-            "--addr".into(),
-            "x".into(),
-            "--saturation".into(),
-            "1000,fast".into()
-        ])
-        .is_err());
+        assert!(parse("--addr x --seed 7").is_err(), "the seed is fixed");
+        assert!(parse("--addr x --saturation 1000,fast").is_err());
     }
 
     #[test]
@@ -1947,48 +1666,35 @@ mod tests {
     }
 
     #[test]
-    fn split_stream_preserves_order_and_balances_shares() {
-        let lines: Vec<String> = (0..10).map(|i| format!("line-{i}")).collect();
-        let split = split_stream(&lines, 3);
+    fn closed_loop_shares_are_contiguous_and_balanced() {
+        let shares: Vec<usize> = (0..3).map(|t| share(10, 3, t)).collect();
+        assert_eq!(shares, vec![4, 3, 3]);
+        assert_eq!(share(10, 1, 0), 10);
+        assert_eq!((0..4).map(|t| share(0, 4, t)).sum::<usize>(), 0);
         assert_eq!(
-            split.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![4, 3, 3]
+            (0..4).map(|t| share(2, 4, t)).collect::<Vec<_>>(),
+            vec![1, 1, 0, 0]
         );
-        let rejoined: Vec<String> = split.into_iter().flatten().collect();
-        assert_eq!(rejoined, lines, "contiguous split preserves order");
-        assert_eq!(split_stream(&lines, 1).len(), 1);
-        assert_eq!(split_stream(&[], 4).iter().map(Vec::len).sum::<usize>(), 0);
     }
 
     #[test]
     fn fleet_trace_args() {
-        let cfg = parse_args(
-            ["--addr", "x", "--fleet-trace", "fleet.jsonl", "--compare"]
-                .into_iter()
-                .map(String::from),
-        )
-        .expect("valid args");
+        let cfg = parse("--addr x --fleet-trace fleet.jsonl --compare").expect("valid args");
         assert_eq!(
             cfg.fleet_trace.as_deref(),
             Some(std::path::Path::new("fleet.jsonl"))
         );
         assert!(cfg.compare);
+        let fixed = "fleet trace replays a fixed stream";
         assert!(
-            parse_args(
-                ["--addr", "x", "--fleet-trace", "f", "--miss-heavy"]
-                    .into_iter()
-                    .map(String::from)
-            )
-            .is_err(),
-            "fleet trace replays a fixed stream"
+            parse("--addr x --fleet-trace f --miss-heavy").is_err(),
+            "{fixed}"
         );
-        assert!(parse_args(
-            ["--addr", "x", "--fleet-trace", "f", "--grid", "quick"]
-                .into_iter()
-                .map(String::from)
-        )
-        .is_err());
-        assert!(parse_args(["--addr".into(), "x".into(), "--fleet-trace".into()]).is_err());
+        assert!(
+            parse("--addr x --fleet-trace f --grid quick").is_err(),
+            "{fixed}"
+        );
+        assert!(parse("--addr x --fleet-trace").is_err());
     }
 
     #[test]
@@ -1996,16 +1702,14 @@ mod tests {
         let cfg = LoadgenConfig {
             addr: "x".into(),
             requests: 120,
-            concurrency: 2,
-            pool: 16,
-            unique_frac: 0.5,
             grid: Some(GridMode::Quick),
             ..Default::default()
         };
         let grid = GridMode::Quick.grid();
-        let lines = build_workload(&cfg);
-        assert_eq!(lines.iter().map(Vec::len).sum::<usize>(), 120);
-        for line in lines.iter().flatten() {
+        let mut lines = build_workload(&cfg, 2, false);
+        lines.extend(build_workload(&cfg, 2, true));
+        assert_eq!(lines.len(), 240);
+        for line in &lines {
             let params = match crate::proto::parse_request(line) {
                 Ok(crate::proto::Request::Decide(p)) => p,
                 other => panic!("grid line must be a decide request, got {other:?}"),
@@ -2029,23 +1733,16 @@ mod tests {
         let cfg = LoadgenConfig {
             addr: "x".into(),
             requests: 200,
-            concurrency: 2,
-            pool: 4,
-            unique_frac: 0.0,
             ..Default::default()
         };
-        let warm = build_workload(&cfg);
-        let miss = build_workload_unique(&cfg, 1.0);
-        assert_eq!(
-            warm.iter().map(Vec::len).collect::<Vec<_>>(),
-            miss.iter().map(Vec::len).collect::<Vec<_>>(),
-            "same per-connection split"
-        );
-        let mut warm_distinct: Vec<&String> = warm.iter().flatten().collect();
+        let warm = build_workload(&cfg, 2, false);
+        let miss = build_workload(&cfg, 2, true);
+        assert_eq!(warm.len(), miss.len(), "same per-connection split");
+        let mut warm_distinct: Vec<&String> = warm.iter().collect();
         warm_distinct.sort();
         warm_distinct.dedup();
-        assert!(warm_distinct.len() <= 4);
-        let mut miss_distinct: Vec<&String> = miss.iter().flatten().collect();
+        assert!(warm_distinct.len() <= POOL);
+        let mut miss_distinct: Vec<&String> = miss.iter().collect();
         miss_distinct.sort();
         miss_distinct.dedup();
         assert!(miss_distinct.len() > 150, "miss mix is essentially unique");
@@ -2053,11 +1750,6 @@ mod tests {
 
     #[test]
     fn phase_grouping_and_labels() {
-        assert_eq!(miss_label("table"), "table-miss");
-        assert_eq!(miss_label("cache"), "cache-miss");
-        assert_eq!(miss_label("no-cache"), "no-cache-miss");
-        assert_eq!(miss_label("single"), "single-miss");
-
         let mk = |label: &'static str, d: Vec<f64>| PhaseReport {
             label,
             wall_s: 1.0,
@@ -2068,8 +1760,8 @@ mod tests {
             rtt: LatencySummary::default(),
             service: LatencySummary::default(),
             connect: LatencySummary::default(),
-            server_stats: Json::Null,
-            d_stars: vec![d],
+            server_stats: json::parse(r#"{"latency":{"p50_us":12.5}}"#).expect("stats"),
+            d_stars: d,
         };
         let a = mk("table", vec![1.0, 2.0]);
         let b = mk("cache", vec![1.0, 2.0]);
@@ -2077,6 +1769,10 @@ mod tests {
         assert_eq!(d_stars_identical(&[&a]), None);
         assert_eq!(d_stars_identical(&[&a, &b]), Some(true));
         assert_eq!(d_stars_identical(&[&a, &b, &c]), Some(false));
+        // The digest is the cross-run form of the same comparison.
+        assert_eq!(a.d_star_digest(), b.d_star_digest());
+        assert_ne!(a.d_star_digest(), c.d_star_digest());
+        assert_eq!(a.decide_p50_us(), Some(12.5));
     }
 
     #[test]
@@ -2117,53 +1813,31 @@ mod tests {
             table_speedup_miss: None,
             d_star_identical: None,
             fleet_trace: None,
-            d_star_digest: None,
             cfg,
         };
         let j = report.to_json();
-        let w = j.get("workload").expect("workload");
-        assert_eq!(
-            w.get("mode").and_then(Json::as_str),
-            Some("open-loop-conns")
-        );
-        assert_eq!(w.get("rate_rps").and_then(Json::as_f64), Some(100.0));
-        assert_eq!(w.get("conns").and_then(Json::as_f64), Some(256.0));
-        assert_eq!(w.get("codec").and_then(Json::as_str), Some("bin1"));
-        assert_eq!(w.get("grid"), Some(&Json::Null));
-        assert_eq!(w.get("miss_heavy").and_then(Json::as_bool), Some(false));
-        assert_eq!(j.get("speedup"), Some(&Json::Null));
-        assert_eq!(
-            j.get("table_speedup").and_then(Json::as_f64),
-            Some(7.25),
-            "ratio members survive the round trip"
-        );
-        let sat = match j.get("saturation") {
-            Some(Json::Arr(points)) => points,
-            other => panic!("saturation must be an array, got {other:?}"),
+        // The value at a `/`-separated path (array elements by index).
+        let at = |path: &str| {
+            path.split('/')
+                .try_fold(&j, |v, k| match (v, k.parse::<usize>()) {
+                    (Json::Arr(items), Ok(i)) => items.get(i),
+                    _ => v.get(k),
+                })
         };
-        assert_eq!(sat.len(), 1);
-        assert_eq!(
-            sat[0].get("offered_rps").and_then(Json::as_f64),
-            Some(1000.0)
-        );
-        assert_eq!(
-            sat[0].get("achieved_rps").and_then(Json::as_f64),
-            Some(950.0)
-        );
-        let lat = sat[0].get("latency_us").expect("latency_us");
-        assert_eq!(
-            lat.get("rtt")
-                .and_then(|r| r.get("p50"))
-                .and_then(Json::as_f64),
-            Some(80.0)
-        );
-        assert_eq!(
-            lat.get("service")
-                .and_then(|r| r.get("p99"))
-                .and_then(Json::as_f64),
-            Some(90.0)
-        );
-        let errs = sat[0].get("errors_by_kind").expect("errors_by_kind");
-        assert_eq!(errs.get("overloaded").and_then(Json::as_f64), Some(3.0));
+        let num = |path: &str| at(path).and_then(Json::as_f64);
+        assert_eq!(at("workload/mode"), Some(&Json::str("open-loop-conns")));
+        assert_eq!(num("workload/rate_rps"), Some(100.0));
+        assert_eq!(num("workload/conns"), Some(256.0));
+        assert_eq!(at("workload/codec"), Some(&Json::str("bin1")));
+        assert_eq!(at("workload/grid"), Some(&Json::Null));
+        assert_eq!(at("workload/miss_heavy"), Some(&Json::Bool(false)));
+        assert_eq!(at("speedup"), Some(&Json::Null));
+        assert_eq!(num("table_speedup"), Some(7.25), "ratios survive");
+        assert!(at("saturation/1").is_none(), "one sweep point");
+        assert_eq!(num("saturation/0/offered_rps"), Some(1000.0));
+        assert_eq!(num("saturation/0/achieved_rps"), Some(950.0));
+        assert_eq!(num("saturation/0/latency_us/rtt/p50"), Some(80.0));
+        assert_eq!(num("saturation/0/latency_us/service/p99"), Some(90.0));
+        assert_eq!(num("saturation/0/errors_by_kind/overloaded"), Some(3.0));
     }
 }

@@ -435,7 +435,7 @@ impl ShardLoop {
         let mut drain_deadline: Option<u64> = None;
         loop {
             let timeout = if self.state.shutdown.load(Ordering::SeqCst) {
-                Some(10)
+                Some(Duration::from_millis(10))
             } else {
                 None
             };
@@ -825,13 +825,36 @@ impl ShardLoop {
         let key = self.engine.quantizer().key(&params);
         let target = route_shard(&key, self.nshards());
         if !try_reserve(&self.state.shards[target].backlog, self.state.queue_depth) {
-            return self.send_err(
+            self.send_err(
                 id,
                 seq,
                 codec,
                 ErrorKind::Overloaded,
                 &format!("queue full (depth {})", self.state.queue_depth),
             );
+            // A shed request is still a request: its span keeps the
+            // trace's request count exact and shows where load was shed.
+            if trace::enabled() {
+                let span = trace::manual_span("request");
+                if span.live() {
+                    let t_respond_ns = monotonic_ns();
+                    span.finish_tree(
+                        t_recv_ns,
+                        t_respond_ns,
+                        trace::fields!(
+                            req = req_id,
+                            shard = self.id,
+                            overloaded = true,
+                            endpoint = "decide"
+                        ),
+                        &[
+                            ("parse", t_recv_ns, t_parsed_ns),
+                            ("respond", t_parsed_ns, t_respond_ns),
+                        ],
+                    );
+                }
+            }
+            return;
         }
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight += 1;

@@ -888,8 +888,8 @@ fn fleet_trace_replay_identical_across_shard_counts() {
                 "{shards} shards must reproduce the 1-shard d_star streams bitwise"
             ),
         }
-        // The report's digest is the cross-run form of the same claim.
-        let d = report.d_star_digest.expect("digest in fleet-trace mode");
+        // The phase digest is the cross-run form of the same claim.
+        let d = report.phases[0].d_star_digest();
         match &digest {
             None => digest = Some(d),
             Some(reference) => assert_eq!(reference, &d, "{shards} shards: digest drift"),
